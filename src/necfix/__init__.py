@@ -29,9 +29,7 @@ from .fixedpoints import (
     FixedPointReport,
     full_report,
     isolated_fixed_points,
-    oval_count,
     scherrer_check,
-    twist_classification,
 )
 from .oracle import (
     OracleTranscript,
@@ -45,9 +43,7 @@ from .oracle import (
 from .signature import (
     NecSignature,
     ParseError,
-    Rational,
     Sign,
-    canonical_generators,
     format_signature,
     kernel_genus,
     orbifold_measure,
@@ -61,10 +57,8 @@ __all__ = [
     "NecSignature",
     "OracleTranscript",
     "ParseError",
-    "Rational",
     "Sign",
     "ValidationReport",
-    "canonical_generators",
     "coset_orbit_fixed_points",
     "cross_check",
     "enumerate_epimorphisms",
@@ -80,14 +74,12 @@ __all__ = [
     "max_cyclic_order",
     "orbifold_measure",
     "oval_classes_doublecoset",
-    "oval_count",
     "parse_map_text",
     "parse_signature",
     "run_census",
     "scherrer_check",
     "scherrer_extremal",
     "subgroup_generated",
-    "twist_classification",
     "twist_oracle",
     "validate",
 ]

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -220,12 +221,16 @@ def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
     Returns (rows, disagreements); disagreements is non-empty only when
     verify is set and an oracle path contradicts a closed-form count.
     Rows come out in deterministic order (signatures sorted, image tuples
-    lexicographic) regardless of the worker count.
+    lexicographic) regardless of the worker count.  The pool never exceeds
+    the task count or the CPU count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = [(sig, order, up_to_aut, verify) for sig in enumerate_signatures(order, max_genus)]
     rows = []
     disagreements = []
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_census_task, tasks, chunksize=1))
     else:

@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .census import (
     CSV_COLUMNS,
@@ -37,23 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_INVALID = 4
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    fmt: str = "table"
-    signature: str | None = None
-    order: int | None = None
-    map_text: str = ""
-    up_to_aut: bool = False
-    verify: bool = False
-    max_genus: int | None = None
-    workers: int = 1
-    all_v: bool = False
-    output: str | None = None
-    genus: int | None = None
-    cap: int = 12
 
 
 def _build_parser():
@@ -129,41 +112,41 @@ def _print_report_table(sig_text, order, report):
     )
 
 
-def _cmd_analyze(config):
-    sig = parse_signature(config.signature)
-    epi = parse_map_text(sig, config.order, config.map_text)
+def _cmd_analyze(args):
+    sig = parse_signature(args.signature)
+    epi = parse_map_text(sig, args.order, args.map_text)
     validation = validate(epi)
     if not validation.valid:
-        if config.fmt == "json":
+        if args.fmt == "json":
             print(json.dumps({"validation": asdict(validation), "report": None}, sort_keys=True))
         else:
-            _print_validation(validation, config.fmt)
+            _print_validation(validation, args.fmt)
         return EXIT_INVALID
     report = full_report(epi)
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(
             json.dumps(
                 {"validation": asdict(validation), "report": asdict(report)}, sort_keys=True
             )
         )
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         writer.writerow(census_row_csv(_row_from_epi(epi)))
     else:
-        _print_validation(validation, config.fmt)
-        _print_report_table(format_signature(sig), config.order, report)
+        _print_validation(validation, args.fmt)
+        _print_report_table(format_signature(sig), args.order, report)
     return EXIT_OK
 
 
-def _cmd_enumerate(config):
-    sig = parse_signature(config.signature)
-    epis = enumerate_epimorphisms(sig, config.order, up_to_aut=config.up_to_aut)
+def _cmd_enumerate(args):
+    sig = parse_signature(args.signature)
+    epis = enumerate_epimorphisms(sig, args.order, up_to_aut=args.up_to_aut)
     sig_text = format_signature(sig)
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "signature": sig_text,
-            "modulus": config.order,
+            "modulus": args.order,
             "count": len(epis),
             "maps": [
                 {
@@ -177,34 +160,34 @@ def _cmd_enumerate(config):
             ],
         }
         print(json.dumps(payload, sort_keys=True))
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["signature", "M", "images"])
         for e in epis:
-            writer.writerow([sig_text, str(config.order), format_map_text(e)])
+            writer.writerow([sig_text, str(args.order), format_map_text(e)])
     else:
-        print(f"{len(epis)} valid map(s) for {sig_text} onto C_{config.order}")
+        print(f"{len(epis)} valid map(s) for {sig_text} onto C_{args.order}")
         for e in epis:
             print(f"  {format_map_text(e)}")
     return EXIT_OK
 
 
-def _cmd_census(config):
+def _cmd_census(args):
     rows, disagreements = run_census(
-        config.order,
-        config.max_genus,
-        up_to_aut=config.up_to_aut,
-        verify=config.verify,
-        workers=config.workers,
+        args.order,
+        args.max_genus,
+        up_to_aut=args.up_to_aut,
+        verify=args.verify,
+        workers=args.workers,
     )
-    sink = open(config.output, "w", encoding="utf-8") if config.output else sys.stdout
+    sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        if config.fmt == "json":
+        if args.fmt == "json":
             write_census_jsonl(rows, sink)
-        elif config.fmt == "csv":
+        elif args.fmt == "csv":
             write_census_csv(rows, sink)
         else:
-            print(f"census: order {config.order}, max genus {config.max_genus}, "
+            print(f"census: order {args.order}, max genus {args.max_genus}, "
                   f"{len(rows)} row(s)", file=sink)
             for row in rows:
                 inv = row.report.involution
@@ -216,7 +199,7 @@ def _cmd_census(config):
                     file=sink,
                 )
     finally:
-        if config.output:
+        if args.output:
             sink.close()
     if disagreements:
         print(f"oracle disagreement: {disagreements[0]}", file=sys.stderr)
@@ -224,23 +207,20 @@ def _cmd_census(config):
     return EXIT_OK
 
 
-def _cmd_verify(config):
-    if config.all_v:
-        if config.order % 2:
-            print(f"--all-v needs an even order, got {config.order}", file=sys.stderr)
-            return EXIT_USAGE
-        transcript = involution_sweep(config.order)
-        if config.fmt == "json":
+def _cmd_verify(args):
+    if args.all_v:
+        transcript = involution_sweep(args.order)
+        if args.fmt == "json":
             print(json.dumps(asdict(transcript), sort_keys=True))
         else:
-            print(f"order {config.order}: swept v=0..{config.order - 1}, "
+            print(f"order {args.order}: swept v=0..{args.order - 1}, "
                   f"agreement={transcript.agreement}")
     else:
-        if not config.signature:
+        if not args.signature:
             print("verify needs a signature (or --all-v)", file=sys.stderr)
             return EXIT_USAGE
-        sig = parse_signature(config.signature)
-        epi = parse_map_text(sig, config.order, config.map_text)
+        sig = parse_signature(args.signature)
+        epi = parse_map_text(sig, args.order, args.map_text)
         validation = validate(epi)
         if not validation.valid:
             print(
@@ -249,22 +229,22 @@ def _cmd_verify(config):
             )
             return EXIT_USAGE
         transcript = cross_check(epi)
-        if config.fmt == "json":
+        if args.fmt == "json":
             print(json.dumps(asdict(transcript), sort_keys=True))
         else:
-            print(f"{format_signature(sig)} M={config.order}: agreement={transcript.agreement}")
+            print(f"{format_signature(sig)} M={args.order}: agreement={transcript.agreement}")
     if not transcript.agreement:
         print(f"first disagreement: {transcript.disagreements[0]}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
 
 
-def _cmd_max_order(config):
-    largest = max_cyclic_order(config.genus, cap=config.cap)
-    if config.fmt == "json":
-        print(json.dumps({"genus": config.genus, "max_order": largest}, sort_keys=True))
+def _cmd_max_order(args):
+    largest = max_cyclic_order(args.genus, cap=args.cap)
+    if args.fmt == "json":
+        print(json.dumps({"genus": args.genus, "max_order": largest}, sort_keys=True))
     else:
-        print(f"max cyclic order at genus {config.genus}: {largest}")
+        print(f"max cyclic order at genus {args.genus}: {largest}")
     return EXIT_OK
 
 
@@ -283,12 +263,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = CliConfig(subcommand=args.subcommand)
-    for name, value in vars(args).items():
-        if name != "subcommand" and hasattr(config, name):
-            setattr(config, name, value)
     try:
-        return _COMMANDS[config.subcommand](config)
+        return _COMMANDS[args.subcommand](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

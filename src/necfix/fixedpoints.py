@@ -75,36 +75,17 @@ def isolated_fixed_points(sig, order, i):
     return sum(order // m for m in sig.periods if m % d == 0)
 
 
-def _require_involution(epi):
-    report = validate(epi)
-    if not report.valid:
-        raise ValueError(f"invalid epimorphism (failed checks: {', '.join(report.failed())})")
-    if epi.modulus % 2:
-        raise ValueError(f"order {epi.modulus} is odd; the action has no involution")
-    return report
+def cycle_ovals(order, v):
+    """Ovals of the involution t^N from one period cycle with connecting image t^v.
 
-
-def oval_count(epi):
-    """Total ovals of the involution t^N: sum of gcd(N, v_j) over cycles."""
-    _require_involution(epi)
-    half = epi.modulus // 2
-    return sum(math.gcd(half, v) for v in epi.e_images)
-
-
-def twist_classification(epi):
-    """Per-cycle (oval count, twisted?) for the involution t^N.
-
-    The j-th cycle contributes gcd(N, v_j) ovals; they are twisted exactly
-    when gcd(2N, v_j) = gcd(N, v_j), untwisted when it is twice that.
+    The cycle contributes gcd(N, v) ovals; they are twisted exactly when
+    gcd(2N, v) = gcd(N, v), untwisted when it is twice that.
     """
-    _require_involution(epi)
-    order = epi.modulus
+    if order % 2:
+        raise ValueError(f"order {order} is odd; the action has no involution")
     half = order // 2
-    out = []
-    for v in epi.e_images:
-        count = math.gcd(half, v)
-        out.append((count, math.gcd(order, v) == count))
-    return out
+    count = math.gcd(half, v)
+    return CycleOvals(v, count, math.gcd(order, v) == count)
 
 
 def scherrer_check(fixed, ovals, genus):
@@ -131,13 +112,9 @@ def full_report(epi):
     )
     involution = None
     if order % 2 == 0:
-        half = order // 2
-        per_cycle = tuple(
-            CycleOvals(v, math.gcd(half, v), math.gcd(order, v) == math.gcd(half, v))
-            for v in epi.e_images
-        )
+        per_cycle = tuple(cycle_ovals(order, v) for v in epi.e_images)
         ovals = sum(c.oval_count for c in per_cycle)
-        fixed = isolated_fixed_points(sig, order, half)
+        fixed = isolated_fixed_points(sig, order, order // 2)
         status = scherrer_check(fixed, ovals, genus)
         involution = InvolutionReport(
             oval_total=ovals,

@@ -18,11 +18,10 @@ translation by i fixes, with no divisibility shortcut.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .epimorphism import image_order, subgroup_generated, validate
-from .fixedpoints import isolated_fixed_points, twist_classification
+from .fixedpoints import cycle_ovals, isolated_fixed_points
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,9 @@ class SweepTranscript:
 
 def _require_even(order):
     if order % 2:
-        raise ValueError(f"order {order} is odd; the action has no involution")
+        raise ValueError(f"order {order} is odd; an involution needs an even order")
+    if order < 2:
+        raise ValueError(f"order {order} has no involution; it must be even and at least 2")
 
 
 def oval_classes_doublecoset(order, v):
@@ -147,6 +148,30 @@ def coset_orbit_fixed_points(sig, order, x_images, i):
     return sum(_fixed_cosets(order, u, i) for u in x_images)
 
 
+def _compare_cycle(order, v, label, disagreements):
+    """Oracle counts for one connecting image t^v, checked against the
+    formula; each mismatch is appended to disagreements under label."""
+    delta, epsilon = exponents(order, v)
+    doublecoset = oval_classes_doublecoset(order, v)
+    by_exponent = order // 2 // delta
+    twisted = epsilon == 2 * delta
+    formula = cycle_ovals(order, v)
+    if not (doublecoset == by_exponent == formula.oval_count):
+        disagreements.append(
+            f"{label}: double-coset {doublecoset}, N/delta {by_exponent}, "
+            f"gcd formula {formula.oval_count}"
+        )
+    if epsilon not in (delta, 2 * delta):
+        disagreements.append(f"{label}: epsilon {epsilon} not in {{delta, 2*delta}}")
+    if twisted != formula.twisted:
+        disagreements.append(
+            f"{label}: twist oracle {twisted}, gcd criterion {formula.twisted}"
+        )
+    return SweepEntry(
+        v, delta, epsilon, doublecoset, by_exponent, twisted, formula.oval_count, formula.twisted
+    )
+
+
 def cross_check(epi):
     """Run every oracle path against the closed-form counts for one action."""
     report = validate(epi)
@@ -157,27 +182,18 @@ def cross_check(epi):
     disagreements = []
 
     per_cycle = []
-    if sig.empty_cycles:
-        half = order // 2
-        formula = twist_classification(epi)
-        for j, v in enumerate(epi.e_images):
-            delta, epsilon = exponents(order, v)
-            doublecoset = oval_classes_doublecoset(order, v)
-            by_exponent = half // delta
-            twisted = twist_oracle(order, v)
-            per_cycle.append(
-                CycleTranscript(v, delta, epsilon, doublecoset, by_exponent, twisted)
+    for j, v in enumerate(epi.e_images):
+        entry = _compare_cycle(order, v, f"cycle {j + 1} (v={v})", disagreements)
+        per_cycle.append(
+            CycleTranscript(
+                v,
+                entry.delta,
+                entry.epsilon,
+                entry.class_count_doublecoset,
+                entry.class_count_exponent,
+                entry.twisted_oracle,
             )
-            count_formula, twisted_formula = formula[j]
-            if not (doublecoset == by_exponent == count_formula):
-                disagreements.append(
-                    f"cycle {j + 1} (v={v}): double-coset {doublecoset}, "
-                    f"N/delta {by_exponent}, gcd formula {count_formula}"
-                )
-            if twisted != twisted_formula:
-                disagreements.append(
-                    f"cycle {j + 1} (v={v}): twist oracle {twisted}, gcd criterion {twisted_formula}"
-                )
+        )
 
     per_power = []
     for i in range(1, order):
@@ -207,29 +223,6 @@ def involution_sweep(order):
     gcd(2N, v) = gcd(N, v).
     """
     _require_even(order)
-    half = order // 2
-    entries = []
     disagreements = []
-    for v in range(order):
-        delta, epsilon = exponents(order, v)
-        doublecoset = oval_classes_doublecoset(order, v)
-        by_exponent = half // delta
-        twisted = twist_oracle(order, v)
-        oval_formula = math.gcd(half, v)
-        twisted_formula = math.gcd(order, v) == math.gcd(half, v)
-        entries.append(
-            SweepEntry(
-                v, delta, epsilon, doublecoset, by_exponent, twisted, oval_formula, twisted_formula
-            )
-        )
-        if not (doublecoset == by_exponent == oval_formula):
-            disagreements.append(
-                f"v={v}: double-coset {doublecoset}, N/delta {by_exponent}, gcd {oval_formula}"
-            )
-        if epsilon not in (delta, 2 * delta):
-            disagreements.append(f"v={v}: epsilon {epsilon} not in {{delta, 2*delta}}")
-        if twisted != twisted_formula:
-            disagreements.append(
-                f"v={v}: twist oracle {twisted}, gcd criterion {twisted_formula}"
-            )
-    return SweepTranscript(order, tuple(entries), not disagreements, tuple(disagreements))
+    entries = tuple(_compare_cycle(order, v, f"v={v}", disagreements) for v in range(order))
+    return SweepTranscript(order, entries, not disagreements, tuple(disagreements))

@@ -19,9 +19,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact carrier for the normalized orbifold measure and genus bookkeeping.
-Rational = Fraction
-
 
 class Sign(enum.Enum):
     PLUS = "+"
@@ -75,24 +72,6 @@ class NecSignature:
     @property
     def total_cycles(self):
         return self.empty_cycles + len(self.nonempty_cycles)
-
-
-class GeneratorKind(enum.Enum):
-    ELLIPTIC = "elliptic"
-    CONNECTING = "connecting"
-    REFLECTION = "reflection"
-    HYPERBOLIC_PAIR = "hyperbolic-pair-member"
-    GLIDE = "glide"
-
-
-@dataclass(frozen=True)
-class Generator:
-    """One canonical generator: its name, kind, and orientation behaviour."""
-
-    name: str
-    kind: GeneratorKind
-    order: int | None = None
-    reverses_orientation: bool = False
 
 
 class _Cursor:
@@ -248,40 +227,3 @@ def kernel_genus(sig, order):
         raise ValueError(f"kernel genus {p} is not an integer; no index-{order} surface kernel")
     return int(p)
 
-
-def canonical_generators(sig):
-    """Generator descriptors in presentation order.
-
-    x_1..x_n (elliptic, order m_i), then one connecting generator per
-    period cycle, then the reflections (one for an empty cycle, s+1 for a
-    cycle with s link periods), then a_i, b_i pairs for sign '+' or glides
-    d_i for sign '-'.  Orientation is reversed exactly by reflections and
-    glides.
-    """
-    gens = [
-        Generator(f"x{i + 1}", GeneratorKind.ELLIPTIC, order=m)
-        for i, m in enumerate(sig.periods)
-    ]
-    total = sig.total_cycles
-    gens.extend(Generator(f"e{j + 1}", GeneratorKind.CONNECTING) for j in range(total))
-    for j in range(len(sig.nonempty_cycles)):
-        links = sig.nonempty_cycles[j]
-        gens.extend(
-            Generator(f"c{j + 1}_{i}", GeneratorKind.REFLECTION, reverses_orientation=True)
-            for i in range(len(links) + 1)
-        )
-    offset = len(sig.nonempty_cycles)
-    gens.extend(
-        Generator(f"c{offset + j + 1}", GeneratorKind.REFLECTION, reverses_orientation=True)
-        for j in range(sig.empty_cycles)
-    )
-    if sig.sign is Sign.PLUS:
-        for i in range(sig.genus):
-            gens.append(Generator(f"a{i + 1}", GeneratorKind.HYPERBOLIC_PAIR))
-            gens.append(Generator(f"b{i + 1}", GeneratorKind.HYPERBOLIC_PAIR))
-    else:
-        gens.extend(
-            Generator(f"d{i + 1}", GeneratorKind.GLIDE, reverses_orientation=True)
-            for i in range(sig.genus)
-        )
-    return gens

@@ -217,6 +217,35 @@ def test_census_workers_agree():
     assert serial == parallel
 
 
+def test_census_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
+    import necfix.census as census
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the requested pool size and runs the tasks in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    tasks = len(enumerate_signatures(4, 6))
+    serial, _ = run_census(4, 6)
+    for cpus in (3, 10_000, None):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+        assert run_census(4, 6, workers=10_000)[0] == serial
+    assert sizes == [3, tasks]
+
+
 @pytest.mark.parametrize("genus, expected", [(3, 6), (5, 10), (9, 18)])
 def test_max_cyclic_order_odd(genus, expected):
     assert max_cyclic_order(genus, cap=12) == expected

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -141,6 +142,14 @@ def test_verify_all_v_odd_order_rejected(capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-4"])
+def test_verify_all_v_order_below_two_rejected(capsys, order):
+    code, out, err = run_cli(capsys, "verify", "--order", order, "--all-v", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "at least 2" in err
+
+
 def test_verify_without_signature_or_sweep(capsys):
     code, _, err = run_cli(capsys, "verify", "--order", "14")
     assert code == 2
@@ -170,6 +179,20 @@ def test_verify_disagreement_exits_3(capsys, monkeypatch):
     assert "v=5" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_census_rejects_workers_below_one(tmp_path, capsys, workers):
+    path = tmp_path / "rows.csv"
+    code, out, err = run_cli(
+        capsys,
+        "census", "--order", "4", "--max-genus", "6", "--workers", workers,
+        "--output", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert "workers" in err
+    assert not path.exists()
+
+
 def test_census_disagreement_exits_3(capsys, monkeypatch):
     import necfix.cli as cli
 
@@ -195,3 +218,31 @@ def test_console_script_end_to_end():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["report"]["kernel_genus"] == 7
+
+
+README_ACTION = ("(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,2;e=5", "--format", "json")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("analyze", *README_ACTION),
+            "a73e5ef850598024abf9c5242e0b1489c55fb7c915e02519dd18bacf1f153db2",
+        ),
+        (
+            ("verify", *README_ACTION),
+            "1e332dea13cf596c34e7af0503905401fd5d334e2e7afa0651f1a353d9008e4c",
+        ),
+        (
+            ("verify", "--all-v", "--order", "12", "--format", "json"),
+            "dd3fb2a8d07fd8efc6ef946e24e5eb1e70135329f5a1e8b05fabb86fb3f44934",
+        ),
+    ],
+)
+def test_json_stdout_is_pinned(capsys, argv, digest):
+    # The JSON stdout is a contract: any change to these bytes is a change
+    # to the documented output, not a refactor.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -6,13 +6,11 @@ from necfix import (
     CyclicEpimorphism,
     full_report,
     isolated_fixed_points,
-    oval_count,
     parse_map_text,
     parse_signature,
     scherrer_check,
-    twist_classification,
 )
-from necfix.fixedpoints import twists_field
+from necfix.fixedpoints import cycle_ovals, twists_field
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE1_EVEN = parse_signature("(0;+;[2,10];{()})")
@@ -59,29 +57,33 @@ def test_isolated_fixed_points_rejects_identity():
         isolated_fixed_points(EXAMPLE1_ODD, 14, 28)
 
 
+def per_cycle(epi):
+    return [(c.oval_count, c.twisted) for c in full_report(epi).involution.per_cycle]
+
+
 def test_oval_count_examples():
-    assert oval_count(example1_odd_epi()) == 1
-    assert oval_count(example2_epi(cycles=2)) == 4
-    assert oval_count(no_cycle_epi()) == 0
+    assert full_report(example1_odd_epi()).involution.oval_total == 1
+    assert per_cycle(example2_epi(cycles=2)) == [(2, False), (2, False)]
+    assert full_report(example2_epi(cycles=2)).involution.oval_total == 4
+    assert per_cycle(no_cycle_epi()) == []
+    assert full_report(no_cycle_epi()).involution.oval_total == 0
 
 
 def test_oval_count_rejects_invalid():
     epi = parse_map_text(EXAMPLE1_ODD, 14, "x=7,3;e=4")
     with pytest.raises(ValueError, match="SMOOTH-ELLIPTIC"):
-        oval_count(epi)
+        full_report(epi)
 
 
 def test_oval_count_rejects_odd_order():
-    sig = parse_signature("(3;-;[];{})")
-    epi = parse_map_text(sig, 3, "d=1,1,1")
     with pytest.raises(ValueError, match="odd"):
-        oval_count(epi)
+        cycle_ovals(3, 1)
 
 
 def test_twist_classification_examples():
-    assert twist_classification(example1_odd_epi()) == [(1, True)]
-    assert twist_classification(example1_even_epi()) == [(1, False)]
-    assert twist_classification(example2_epi()) == [(2, False)]
+    assert per_cycle(example1_odd_epi()) == [(1, True)]
+    assert per_cycle(example1_even_epi()) == [(1, False)]
+    assert per_cycle(example2_epi()) == [(2, False)]
 
 
 def test_twist_dichotomy_exhaustive():

@@ -118,6 +118,33 @@ def test_involution_sweep_agreement():
     assert transcript.disagreements == ()
 
 
+def test_oracle_catches_an_off_by_one_formula(monkeypatch, capsys):
+    import necfix.oracle as oracle
+    from necfix.cli import main
+    from necfix.fixedpoints import CycleOvals, cycle_ovals
+
+    def off_by_one(order, v):
+        right = cycle_ovals(order, v)
+        return CycleOvals(v, right.oval_count + 1, right.twisted)
+
+    monkeypatch.setattr(oracle, "cycle_ovals", off_by_one)
+    transcript = cross_check(parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5"))
+    assert not transcript.agreement
+    assert transcript.disagreements == (
+        "cycle 1 (v=5): double-coset 1, N/delta 1, gcd formula 2",
+    )
+    sweep = involution_sweep(12)
+    assert not sweep.agreement
+    assert len(sweep.disagreements) == 12
+    assert sweep.disagreements[0] == "v=0: double-coset 6, N/delta 6, gcd formula 7"
+    for argv in (
+        ["verify", "(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,2;e=5"],
+        ["verify", "--order", "12", "--all-v"],
+    ):
+        assert main(argv) == 3
+        assert "gcd formula" in capsys.readouterr().err
+
+
 def test_involution_sweep_rejects_odd():
     with pytest.raises(ValueError, match="odd"):
         involution_sweep(27)

@@ -7,13 +7,11 @@ from necfix import (
     NecSignature,
     ParseError,
     Sign,
-    canonical_generators,
     format_signature,
     kernel_genus,
     orbifold_measure,
     parse_signature,
 )
-from necfix.signature import GeneratorKind
 
 from strategies import signatures
 
@@ -158,31 +156,3 @@ def test_maximal_order_signatures_have_the_right_genus():
     for p in range(4, 101, 2):
         sig = NecSignature(0, Sign.PLUS, (2, 2 * (p - 1)), 1)
         assert kernel_genus(sig, 2 * (p - 1)) == p
-
-
-def test_canonical_generators_plus():
-    gens = canonical_generators(parse_signature("(0;+;[2,7];{()})"))
-    assert [g.name for g in gens] == ["x1", "x2", "e1", "c1"]
-    assert gens[0].order == 2 and gens[1].order == 7
-    assert [g.reverses_orientation for g in gens] == [False, False, False, True]
-
-
-def test_canonical_generators_minus():
-    gens = canonical_generators(parse_signature("(1;-;[3];{})"))
-    assert [(g.name, g.kind) for g in gens] == [
-        ("x1", GeneratorKind.ELLIPTIC),
-        ("d1", GeneratorKind.GLIDE),
-    ]
-    assert gens[1].reverses_orientation
-
-
-def test_canonical_generators_two_cycles():
-    gens = canonical_generators(parse_signature("(0;+;[2,2,4,4];{()()})"))
-    assert [g.name for g in gens] == ["x1", "x2", "x3", "x4", "e1", "e2", "c1", "c2"]
-
-
-def test_canonical_generators_hyperbolic_pairs():
-    gens = canonical_generators(parse_signature("(2;+;[];{})"))
-    assert [g.name for g in gens] == ["a1", "b1", "a2", "b2"]
-    assert all(g.kind is GeneratorKind.HYPERBOLIC_PAIR for g in gens)
-    assert not any(g.reverses_orientation for g in gens)
