@@ -125,29 +125,13 @@ def units(order):
     return [u for u in range(1, order) if math.gcd(u, order) == 1]
 
 
-def _image_key(epi):
-    return (*epi.x_images, *epi.e_images, *epi.orient_images)
-
-
-def unit_multiple(epi, unit):
-    """The assignment with every image multiplied by the given unit."""
-    order = epi.modulus
-    scale = lambda images: tuple(unit * v % order for v in images)
-    return CyclicEpimorphism(
-        epi.sig,
-        order,
-        scale(epi.x_images),
-        scale(epi.e_images),
-        scale(epi.c_images),
-        scale(epi.orient_images),
-    )
-
-
 def is_canonical(epi):
     """True when the image tuple is lexicographically least in its orbit
-    under unit multiplication (the Aut(C_M) action)."""
-    key = _image_key(epi)
-    return all(key <= _image_key(unit_multiple(epi, u)) for u in units(epi.modulus))
+    under unit multiplication (the Aut(C_M) action).  Reflection images are
+    left out: they all equal M/2, which every unit fixes."""
+    order = epi.modulus
+    key = (*epi.x_images, *epi.e_images, *epi.orient_images)
+    return all(key <= tuple(u * v % order for v in key) for u in units(order))
 
 
 def enumerate_epimorphisms(sig, order, up_to_aut=False):
@@ -159,6 +143,8 @@ def enumerate_epimorphisms(sig, order, up_to_aut=False):
     unit multiplication is kept.  Returns an empty list when no smooth
     epimorphism with non-orientable surface kernel exists.
     """
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
     epis = list(_iter_epimorphisms(sig, order))
     if up_to_aut:
         epis = [e for e in epis if is_canonical(e)]

@@ -113,19 +113,24 @@ def twist_oracle(order, v):
     return epsilon == 2 * delta
 
 
-def _fixed_cosets(order, u, i):
-    """Cosets of <u> in Z_M fixed by translation by i, counted explicitly."""
-    subgroup = set(subgroup_generated(order, [u]))
+def _cosets(order, u):
+    """(representative, coset) pairs partitioning Z_M by <u>, enumerated by
+    closure and explicit translation."""
+    subgroup = subgroup_generated(order, [u])
     seen = set()
-    fixed = 0
+    cosets = []
     for c in range(order):
         if c in seen:
             continue
         coset = {(c + h) % order for h in subgroup}
         seen |= coset
-        if (c + i) % order in coset:
-            fixed += 1
-    return fixed
+        cosets.append((c, coset))
+    return cosets
+
+
+def _fixed_cosets(order, cosets, i):
+    """How many of the cosets translation by i fixes, checked one by one."""
+    return sum((c + i) % order in coset for c, coset in cosets)
 
 
 def coset_orbit_fixed_points(sig, order, x_images, i):
@@ -145,7 +150,7 @@ def coset_orbit_fixed_points(sig, order, x_images, i):
     i %= order
     if i == 0:
         raise ValueError("t^i is the identity; its fixed-point set is the whole surface")
-    return sum(_fixed_cosets(order, u, i) for u in x_images)
+    return sum(_fixed_cosets(order, _cosets(order, u), i) for u in x_images)
 
 
 def _compare_cycle(order, v, label, disagreements):
@@ -195,9 +200,10 @@ def cross_check(epi):
             )
         )
 
+    partitions = [_cosets(order, u) for u in epi.x_images]
     per_power = []
     for i in range(1, order):
-        counts = [_fixed_cosets(order, u, i) for u in epi.x_images]
+        counts = [_fixed_cosets(order, cosets, i) for cosets in partitions]
         per_power.extend(
             PowerCosetCount(i, j, count) for j, count in enumerate(counts)
         )

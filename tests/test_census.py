@@ -4,6 +4,7 @@ import math
 import pytest
 
 from necfix import (
+    CyclicEpimorphism,
     enumerate_epimorphisms,
     enumerate_signatures,
     format_signature,
@@ -19,7 +20,6 @@ from necfix.census import (
     is_canonical,
     rows_for_signature,
     shadow_key,
-    unit_multiple,
     units,
     write_census_csv,
     write_census_jsonl,
@@ -93,6 +93,20 @@ def test_enumeration_is_lexicographic():
     assert keys == sorted(keys)
 
 
+def _unit_multiple(epi, unit):
+    # Built as a whole assignment, reflection images included, so the orbit
+    # does not rest on the tuple arithmetic inside is_canonical.
+    scale = lambda images: tuple(unit * v for v in images)
+    return CyclicEpimorphism(
+        epi.sig,
+        epi.modulus,
+        scale(epi.x_images),
+        scale(epi.e_images),
+        scale(epi.c_images),
+        scale(epi.orient_images),
+    )
+
+
 def test_unit_orbits_partition_valid_maps():
     for order in range(1, 13):
         for sig in enumerate_signatures(order, 8):
@@ -100,7 +114,7 @@ def test_unit_orbits_partition_valid_maps():
             canonical = [e for e in raw if is_canonical(e)]
             orbit_reps = set()
             for epi in raw:
-                orbit = {unit_multiple(epi, u) for u in units(order)}
+                orbit = {_unit_multiple(epi, u) for u in units(order)}
                 reps = [e for e in orbit if is_canonical(e)]
                 assert len(reps) == 1
                 assert reps[0] in raw
@@ -246,12 +260,12 @@ def test_census_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
     assert sizes == [3, tasks]
 
 
-@pytest.mark.parametrize("genus, expected", [(3, 6), (5, 10), (9, 18)])
+@pytest.mark.parametrize("genus, expected", [(3, 6), (5, 10), (7, 14), (9, 18), (11, 22)])
 def test_max_cyclic_order_odd(genus, expected):
     assert max_cyclic_order(genus, cap=12) == expected
 
 
-@pytest.mark.parametrize("genus, expected", [(4, 6), (6, 10), (8, 14)])
+@pytest.mark.parametrize("genus, expected", [(4, 6), (6, 10), (8, 14), (10, 18), (12, 22)])
 def test_max_cyclic_order_even(genus, expected):
     assert max_cyclic_order(genus, cap=12) == expected
 

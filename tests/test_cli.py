@@ -62,6 +62,17 @@ def test_analyze_invalid_map_exits_4(capsys):
     assert "SMOOTH-ELLIPTIC" in out
 
 
+def test_analyze_csv_invalid_map_keeps_stdout_empty(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "analyze", "(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,3;e=4",
+        "--format", "csv",
+    )
+    assert code == 4
+    assert out == ""
+    assert "FAIL SMOOTH-ELLIPTIC" in err
+
+
 def test_analyze_parse_error_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "(0;+;[1];{})", "--order", "14")
     assert code == 2
@@ -79,6 +90,14 @@ def test_enumerate_json(capsys):
     payload = json.loads(out)
     assert payload["count"] == 1
     assert payload["maps"][0]["map"] == "x=7,2;e=5;c=7"
+
+
+@pytest.mark.parametrize("order", ["0", "-4"])
+def test_enumerate_rejects_non_positive_order(capsys, order):
+    code, out, err = run_cli(capsys, "enumerate", "(0;+;[2,7];{()})", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert f"order must be positive, got {order}" in err
 
 
 def test_census_csv_stdout(capsys):
@@ -134,6 +153,15 @@ def test_verify_single_map(capsys):
     payload = json.loads(out)
     assert payload["agreement"] is True
     assert payload["per_cycle"][0]["delta"] == 7
+
+
+def test_verify_invalid_map_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,3;e=4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "invalid epimorphism (failed checks: SMOOTH-ELLIPTIC" in err
 
 
 def test_verify_all_v_odd_order_rejected(capsys):
