@@ -14,7 +14,6 @@ from .census import (
     enumerate_signatures,
     max_cyclic_order,
     run_census,
-    scherrer_extremal,
 )
 from .epimorphism import (
     CyclicEpimorphism,
@@ -29,16 +28,13 @@ from .fixedpoints import (
     FixedPointReport,
     full_report,
     isolated_fixed_points,
-    scherrer_check,
 )
 from .oracle import (
     OracleTranscript,
-    coset_orbit_fixed_points,
     cross_check,
     exponents,
     involution_sweep,
     oval_classes_doublecoset,
-    twist_oracle,
 )
 from .signature import (
     NecSignature,
@@ -59,7 +55,6 @@ __all__ = [
     "ParseError",
     "Sign",
     "ValidationReport",
-    "coset_orbit_fixed_points",
     "cross_check",
     "enumerate_epimorphisms",
     "enumerate_signatures",
@@ -77,9 +72,6 @@ __all__ = [
     "parse_map_text",
     "parse_signature",
     "run_census",
-    "scherrer_check",
-    "scherrer_extremal",
     "subgroup_generated",
-    "twist_oracle",
     "validate",
 ]

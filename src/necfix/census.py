@@ -28,19 +28,17 @@ from .epimorphism import (
 )
 from .fixedpoints import FixedPointReport, full_report, twists_field
 from .oracle import cross_check
-from .signature import NecSignature, Sign, format_signature, kernel_genus, orbifold_measure
+from .signature import NecSignature, Sign, format_signature, kernel_genus
 
 
 @dataclass(frozen=True)
 class CensusRow:
-    signature: NecSignature
-    modulus: int
+    """One valid assignment, its fixed-point report, and whether it is the
+    least representative of its Aut(C_M) orbit."""
+
     epi: CyclicEpimorphism
-    kernel_genus: int
     report: FixedPointReport
-    scherrer_equality: bool
     canonical: bool
-    shadow_key: str
 
 
 def _period_multisets(divisors, budget):
@@ -82,11 +80,11 @@ def enumerate_signatures(order, max_genus):
                 remaining = budget - alpha * genus - cycles
                 for periods in _period_multisets(divisors, remaining):
                     sig = NecSignature(genus, sign, periods, cycles)
-                    measure = orbifold_measure(sig)
-                    if measure <= 0:
+                    try:
+                        p = kernel_genus(sig, order)
+                    except ValueError:
                         continue
-                    p = order * measure + 2
-                    if p.denominator == 1 and 3 <= p <= max_genus:
+                    if 3 <= p <= max_genus:
                         out.append(sig)
                 cycles += 1
             genus += 1
@@ -166,29 +164,13 @@ def shadow_key(epi):
     return f"M{epi.modulus}|g{sig.genus}{sig.sign.value}|x[{xs}]|e[{es}]|o[{orient}]"
 
 
-def _row_from_epi(epi):
-    report = full_report(epi)
-    return CensusRow(
-        signature=epi.sig,
-        modulus=epi.modulus,
-        epi=epi,
-        kernel_genus=report.kernel_genus,
-        report=report,
-        scherrer_equality=(
-            report.involution.scherrer_equality if report.involution else False
-        ),
-        canonical=is_canonical(epi),
-        shadow_key=shadow_key(epi),
-    )
-
-
-def rows_for_signature(sig, order, up_to_aut=False):
-    return [_row_from_epi(e) for e in enumerate_epimorphisms(sig, order, up_to_aut)]
-
-
 def _census_task(args):
     sig, order, up_to_aut, verify = args
-    rows = rows_for_signature(sig, order, up_to_aut)
+    # With up_to_aut every kept map is already its orbit's representative.
+    rows = [
+        CensusRow(epi, full_report(epi), up_to_aut or is_canonical(epi))
+        for epi in enumerate_epimorphisms(sig, order, up_to_aut)
+    ]
     disagreements = []
     if verify:
         for row in rows:
@@ -225,12 +207,6 @@ def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
         rows.extend(task_rows)
         disagreements.extend(task_disagreements)
     return rows, disagreements
-
-
-def scherrer_extremal(order, max_genus, up_to_aut=True):
-    """Census rows where the involution attains |F| + 2|V| = p + 2."""
-    rows, _ = run_census(order, max_genus, up_to_aut=up_to_aut)
-    return [row for row in rows if row.scherrer_equality]
 
 
 def max_cyclic_order(genus, cap=12):
@@ -290,10 +266,10 @@ def census_row_csv(row):
         twists = twists_field(row.report)
         slack = str(involution.scherrer_rhs - involution.scherrer_lhs)
     return [
-        format_signature(row.signature),
-        str(row.modulus),
+        format_signature(row.epi.sig),
+        str(row.epi.modulus),
         format_map_text(row.epi),
-        str(row.kernel_genus),
+        str(row.report.kernel_genus),
         fixed,
         ovals,
         twists,
@@ -303,14 +279,15 @@ def census_row_csv(row):
 
 
 def census_row_record(row):
+    involution = row.report.involution
     return {
-        "signature": format_signature(row.signature),
-        "modulus": row.modulus,
+        "signature": format_signature(row.epi.sig),
+        "modulus": row.epi.modulus,
         "images": format_map_text(row.epi),
-        "kernel_genus": row.kernel_genus,
-        "scherrer_equality": row.scherrer_equality,
+        "kernel_genus": row.report.kernel_genus,
+        "scherrer_equality": involution is not None and involution.scherrer_equality,
         "canonical": row.canonical,
-        "shadow_key": row.shadow_key,
+        "shadow_key": shadow_key(row.epi),
         "report": asdict(row.report),
     }
 

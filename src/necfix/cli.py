@@ -20,9 +20,10 @@ from dataclasses import asdict
 
 from .census import (
     CSV_COLUMNS,
-    _row_from_epi,
+    CensusRow,
     census_row_csv,
     enumerate_epimorphisms,
+    is_canonical,
     max_cyclic_order,
     run_census,
     write_census_csv,
@@ -131,7 +132,7 @@ def _cmd_analyze(args):
     elif args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerow(census_row_csv(_row_from_epi(epi)))
+        writer.writerow(census_row_csv(CensusRow(epi, report, is_canonical(epi))))
     else:
         _print_validation(validation)
         _print_report_table(format_signature(sig), args.order, report)
@@ -179,7 +180,10 @@ def _cmd_census(args):
         verify=args.verify,
         workers=args.workers,
     )
-    sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    try:
+        sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
     try:
         if args.fmt == "json":
             write_census_jsonl(rows, sink)
@@ -192,9 +196,9 @@ def _cmd_census(args):
                 inv = row.report.involution
                 fv = f"F={inv.isolated_total} V={inv.oval_total}" if inv else "no involution"
                 print(
-                    f"  {format_signature(row.signature)} M={row.modulus} "
-                    f"{format_map_text(row.epi)} p={row.kernel_genus} {fv}"
-                    f"{' *' if row.scherrer_equality else ''}",
+                    f"  {format_signature(row.epi.sig)} M={row.epi.modulus} "
+                    f"{format_map_text(row.epi)} p={row.report.kernel_genus} {fv}"
+                    f"{' *' if inv and inv.scherrer_equality else ''}",
                     file=sink,
                 )
     finally:

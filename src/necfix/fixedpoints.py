@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .epimorphism import validate
 
@@ -54,12 +53,6 @@ class FixedPointReport:
     involution: InvolutionReport | None
 
 
-class ScherrerStatus(NamedTuple):
-    holds: bool
-    slack: int
-    equality: bool
-
-
 def isolated_fixed_points(sig, order, i):
     """Number of isolated fixed points of t^i, for t of the given order.
 
@@ -88,12 +81,6 @@ def cycle_ovals(order, v):
     return CycleOvals(v, count, math.gcd(order, v) == count)
 
 
-def scherrer_check(fixed, ovals, genus):
-    """Status of |F| + 2|V| <= p + 2 for an involution of a genus-p surface."""
-    slack = genus + 2 - fixed - 2 * ovals
-    return ScherrerStatus(slack >= 0, slack, slack == 0)
-
-
 def full_report(epi):
     """Complete fixed-point data of the action defined by a valid epi.
 
@@ -115,14 +102,16 @@ def full_report(epi):
         per_cycle = tuple(cycle_ovals(order, v) for v in epi.e_images)
         ovals = sum(c.oval_count for c in per_cycle)
         fixed = isolated_fixed_points(sig, order, order // 2)
-        status = scherrer_check(fixed, ovals, genus)
+        # Scherrer's bound |F| + 2|V| <= p + 2 for an involution of a genus-p surface.
+        lhs = fixed + 2 * ovals
+        rhs = genus + 2
         involution = InvolutionReport(
             oval_total=ovals,
             isolated_total=fixed,
             per_cycle=per_cycle,
-            scherrer_lhs=fixed + 2 * ovals,
-            scherrer_rhs=genus + 2,
-            scherrer_equality=status.equality,
+            scherrer_lhs=lhs,
+            scherrer_rhs=rhs,
+            scherrer_equality=lhs == rhs,
         )
     return FixedPointReport(order, genus, per_power, involution)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .epimorphism import image_order, subgroup_generated, validate
+from .epimorphism import subgroup_generated, validate
 from .fixedpoints import cycle_ovals, isolated_fixed_points
 
 
@@ -106,13 +106,6 @@ def exponents(order, v):
     return delta, epsilon
 
 
-def twist_oracle(order, v):
-    """Twisted iff the delta-th power of the connecting element maps to the
-    involution, i.e. epsilon = 2*delta."""
-    delta, epsilon = exponents(order, v)
-    return epsilon == 2 * delta
-
-
 def _cosets(order, u):
     """(representative, coset) pairs partitioning Z_M by <u>, enumerated by
     closure and explicit translation."""
@@ -131,26 +124,6 @@ def _cosets(order, u):
 def _fixed_cosets(order, cosets, i):
     """How many of the cosets translation by i fixes, checked one by one."""
     return sum((c + i) % order in coset for c, coset in cosets)
-
-
-def coset_orbit_fixed_points(sig, order, x_images, i):
-    """Isolated fixed points of t^i recounted from the cone-point fibres.
-
-    The points over the j-th cone point form the coset space Z_M/<u_j>
-    with t acting by translation; a point is fixed by t^i exactly when its
-    coset is.  Requires smoothness (each u_j of order m_j).
-    """
-    if len(x_images) != len(sig.periods):
-        raise ValueError(f"expected {len(sig.periods)} elliptic images, got {len(x_images)}")
-    for m, u in zip(sig.periods, x_images):
-        if image_order(order, u) != m:
-            raise ValueError(
-                f"smoothness violation: image {u} has order {image_order(order, u)}, period is {m}"
-            )
-    i %= order
-    if i == 0:
-        raise ValueError("t^i is the identity; its fixed-point set is the whole surface")
-    return sum(_fixed_cosets(order, _cosets(order, u), i) for u in x_images)
 
 
 def _compare_cycle(order, v, label, disagreements):
@@ -200,6 +173,8 @@ def cross_check(epi):
             )
         )
 
+    # The points over the j-th cone point form Z_M/<u_j>, with t acting by
+    # translation; a point is fixed by t^i exactly when its coset is.
     partitions = [_cosets(order, u) for u in epi.x_images]
     per_power = []
     for i in range(1, order):

@@ -16,6 +16,7 @@ kernel genus is an integer or an error, never a rounded float.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -210,6 +211,7 @@ def orbifold_measure(sig):
     return total
 
 
+@functools.lru_cache(maxsize=4096)
 def kernel_genus(sig, order):
     """Cross-cap genus of the surface uniformized by an index-`order` kernel.
 
@@ -217,7 +219,8 @@ def kernel_genus(sig, order):
     non-orientable surface of genus p has normalized measure p - 2, so
     p = order * measure + 2.  Raises ValueError when the measure is not
     positive or when p fails to be an integer (then no torsion-free kernel
-    of that index exists).
+    of that index exists).  Results are cached per (signature, order):
+    a census asks once for every candidate assignment.
     """
     measure = orbifold_measure(sig)
     if measure <= 0:

@@ -13,7 +13,7 @@ from necfix import (
     NecSignature,
     ParseError,
     Sign,
-    coset_orbit_fixed_points,
+    cross_check,
     enumerate_epimorphisms,
     enumerate_signatures,
     exponents,
@@ -24,7 +24,6 @@ from necfix import (
     oval_classes_doublecoset,
     parse_map_text,
     parse_signature,
-    twist_oracle,
 )
 
 _census_cache = {}
@@ -126,7 +125,8 @@ def test_criterion_5_twist_oracle():
         for v in range(order):
             delta, epsilon = exponents(order, v)
             assert epsilon in (delta, 2 * delta)
-            assert twist_oracle(order, v) == (math.gcd(order, v) == math.gcd(half, v))
+            twisted = epsilon == 2 * delta
+            assert twisted == (math.gcd(order, v) == math.gcd(half, v))
     _passed(5, "twist oracle matches gcd criterion, epsilon in {delta, 2delta}", budget)
 
 
@@ -135,10 +135,13 @@ def test_criterion_6_fixed_point_recount():
     checked = 0
     for order in range(1, 21):
         for epi in _census(order):
-            for i in range(1, order):
-                assert coset_orbit_fixed_points(
-                    epi.sig, order, epi.x_images, i
-                ) == isolated_fixed_points(epi.sig, order, i)
+            transcript = cross_check(epi)
+            assert transcript.agreement, transcript.disagreements
+            recount = dict.fromkeys(range(1, order), 0)
+            for entry in transcript.per_power_fixed:
+                recount[entry.i] += entry.fixed_cosets
+            for i, count in recount.items():
+                assert count == isolated_fixed_points(epi.sig, order, i)
                 checked += 1
     assert checked > 0
     _passed(6, f"coset counts match the period formula ({checked} power checks, M <= 20)", budget)

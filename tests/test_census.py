@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -14,11 +15,11 @@ from necfix import (
     parse_map_text,
     parse_signature,
     run_census,
-    scherrer_extremal,
 )
 from necfix.census import (
+    CensusRow,
+    census_row_record,
     is_canonical,
-    rows_for_signature,
     shadow_key,
     units,
     write_census_csv,
@@ -130,13 +131,18 @@ def test_high_genus_rows_exist_for_minus_signatures():
 
 
 def test_rows_carry_reports_and_flags():
-    rows = rows_for_signature(EXAMPLE2, 4)
+    assert [f.name for f in dataclasses.fields(CensusRow)] == ["epi", "report", "canonical"]
+    rows, _ = run_census(4, 8)
+    rows = [row for row in rows if row.epi.sig == EXAMPLE2]
     assert rows
     for row in rows:
-        assert row.kernel_genus == row.report.kernel_genus
-        inv = row.report.involution
-        assert row.scherrer_equality == inv.scherrer_equality
-        assert row.shadow_key == shadow_key(row.epi)
+        record = census_row_record(row)
+        assert record["signature"] == format_signature(row.epi.sig)
+        assert record["modulus"] == row.epi.modulus == row.report.modulus
+        assert record["kernel_genus"] == row.report.kernel_genus
+        assert record["scherrer_equality"] == row.report.involution.scherrer_equality
+        assert record["shadow_key"] == shadow_key(row.epi)
+        assert record["canonical"] == row.canonical == is_canonical(row.epi)
 
 
 def test_shadow_key_ignores_period_order():
@@ -145,24 +151,30 @@ def test_shadow_key_ignores_period_order():
     assert shadow_key(a) == shadow_key(b)
 
 
+def _scherrer_extremal(order, max_genus):
+    """Rows up to Aut(C_M) where the involution attains |F| + 2|V| = p + 2."""
+    rows, _ = run_census(order, max_genus, up_to_aut=True)
+    return [row for row in rows if row.report.involution.scherrer_equality]
+
+
 def test_scherrer_extremal_contains_examples():
-    rows = scherrer_extremal(4, 8)
-    keys = {(format_signature(r.signature), r.epi.x_images, r.epi.e_images) for r in rows}
+    rows = _scherrer_extremal(4, 8)
+    keys = {(format_signature(r.epi.sig), r.epi.x_images, r.epi.e_images) for r in rows}
     assert ("(0;+;[2,2,4,4];{()})", (2, 2, 1, 3), (0,)) in keys
 
-    rows = scherrer_extremal(14, 7)
-    keys = {(format_signature(r.signature), r.epi.x_images) for r in rows}
+    rows = _scherrer_extremal(14, 7)
+    keys = {(format_signature(r.epi.sig), r.epi.x_images) for r in rows}
     assert ("(0;+;[2,7];{()})", (7, 2)) in keys
 
 
 def test_scherrer_extremal_order_eight_family():
     # Doubling the two largest periods keeps the bound attained: the
     # signature (0;+;[8,8];{()}) at order 8 gives F=2, V=4, p=8.
-    rows = scherrer_extremal(8, 8)
+    rows = _scherrer_extremal(8, 8)
     match = [
         r
         for r in rows
-        if format_signature(r.signature) == "(0;+;[8,8];{()})"
+        if format_signature(r.epi.sig) == "(0;+;[8,8];{()})"
     ]
     assert match
     inv = match[0].report.involution
@@ -177,10 +189,10 @@ def test_census_rows_all_validate_and_hold_scherrer():
     for row in rows:
         inv = row.report.involution
         assert inv.scherrer_lhs <= inv.scherrer_rhs
-        assert 3 <= row.kernel_genus <= 10
+        assert 3 <= row.report.kernel_genus <= 10
         # At i = N the per-power formula restricts to the even periods.
         assert inv.isolated_total == sum(
-            4 // m for m in row.signature.periods if m % 2 == 0
+            4 // m for m in row.epi.sig.periods if m % 2 == 0
         )
 
 

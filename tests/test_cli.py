@@ -221,6 +221,21 @@ def test_census_rejects_workers_below_one(tmp_path, capsys, workers):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_census_unwritable_output_exits_2(tmp_path, capsys, target):
+    path = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+    code, out, err = run_cli(
+        capsys,
+        "census", "--order", "4", "--max-genus", "6", "--format", "csv",
+        "--output", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: cannot write --output ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_census_disagreement_exits_3(capsys, monkeypatch):
     import necfix.cli as cli
 
@@ -266,11 +281,31 @@ README_ACTION = ("(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,2;e=5", "--f
             ("verify", "--all-v", "--order", "12", "--format", "json"),
             "dd3fb2a8d07fd8efc6ef946e24e5eb1e70135329f5a1e8b05fabb86fb3f44934",
         ),
+        # Every census field, its order and its formatting: 264 rows at
+        # order 6, 23 canonical rows at order 12.
+        (
+            ("census", "--order", "6", "--max-genus", "8", "--format", "csv"),
+            "a37bd79c8b5a6a41da411f9476df24f91a7149c3c02cbad1fc29ed72b4733254",
+        ),
+        (
+            ("census", "--order", "6", "--max-genus", "8", "--format", "json"),
+            "f174faad3b6c8d14a40d45246d88e9108de6ca2d9f5310d6a6351539e0028363",
+        ),
+        (
+            ("census", "--order", "12", "--max-genus", "10", "--up-to-aut", "--verify",
+             "--format", "csv"),
+            "57c43bdcf2ab617cf14ccf76237370fe5c0cafcaa782a9dec8c5d77476fd07e3",
+        ),
+        (
+            ("analyze", *README_ACTION[:-1], "csv"),
+            "70ca583210e61a60ad709303840f6cd63ce616bbb300557e63ad7471ff86e51d",
+        ),
     ],
 )
 def test_json_stdout_is_pinned(capsys, argv, digest):
-    # The JSON stdout is a contract: any change to these bytes is a change
-    # to the documented output, not a refactor.
+    # The json and csv stdout is a contract: any change to these bytes is a
+    # change to the documented output, not a refactor.
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+

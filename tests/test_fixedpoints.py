@@ -8,7 +8,6 @@ from necfix import (
     isolated_fixed_points,
     parse_map_text,
     parse_signature,
-    scherrer_check,
 )
 from necfix.fixedpoints import cycle_ovals, twists_field
 
@@ -157,16 +156,21 @@ def test_counts_do_not_depend_on_images():
 
 
 @pytest.mark.parametrize(
-    "fixed, ovals, genus, expected",
+    "make_epi, fixed, ovals, genus, equality",
     [
-        (7, 1, 7, (True, 0, True)),
-        (6, 2, 8, (True, 0, True)),
-        (0, 0, 3, (True, 5, False)),
-        (9, 2, 7, (False, -4, False)),
+        (example1_odd_epi, 7, 1, 7, True),
+        (example2_epi, 6, 2, 8, True),
+        (no_cycle_epi, 0, 0, 6, False),
     ],
+    ids=["example1", "example2", "no-cycle"],
 )
-def test_scherrer_check(fixed, ovals, genus, expected):
-    assert tuple(scherrer_check(fixed, ovals, genus)) == expected
+def test_full_report_scherrer_fields(make_epi, fixed, ovals, genus, equality):
+    # Scherrer's bound |F| + 2|V| <= p + 2; equality exactly when lhs == rhs.
+    inv = full_report(make_epi()).involution
+    assert (inv.isolated_total, inv.oval_total) == (fixed, ovals)
+    assert inv.scherrer_lhs == fixed + 2 * ovals
+    assert inv.scherrer_rhs == genus + 2
+    assert inv.scherrer_equality is equality
 
 
 def test_twists_field_flattening():

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from necfix import (
-    coset_orbit_fixed_points,
     cross_check,
     enumerate_epimorphisms,
     enumerate_signatures,
@@ -13,7 +12,6 @@ from necfix import (
     oval_classes_doublecoset,
     parse_map_text,
     parse_signature,
-    twist_oracle,
 )
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
@@ -35,10 +33,13 @@ def test_exponents(order, v, delta, epsilon):
 
 @pytest.mark.parametrize("order, v, twisted", [(14, 5, True), (10, 4, False), (4, 0, False)])
 def test_twist_oracle(order, v, twisted):
-    assert twist_oracle(order, v) is twisted
+    # Twisted iff the delta-th power of the connecting element maps to the
+    # involution, i.e. epsilon = 2*delta.
+    delta, epsilon = exponents(order, v)
+    assert (epsilon == 2 * delta) is twisted
 
 
-@pytest.mark.parametrize("func", [oval_classes_doublecoset, exponents, twist_oracle])
+@pytest.mark.parametrize("func", [oval_classes_doublecoset, exponents])
 def test_odd_order_rejected(func):
     with pytest.raises(ValueError, match="odd"):
         func(9, 3)
@@ -53,17 +54,15 @@ def test_odd_order_rejected(func):
     ],
 )
 def test_coset_orbit_fixed_points(sig, order, x_images, i, expected):
-    assert coset_orbit_fixed_points(sig, order, x_images, i) == expected
+    # cross_check's coset recount at power i, summed over the cone points.
+    epi = next(e for e in enumerate_epimorphisms(sig, order) if e.x_images == tuple(x_images))
+    transcript = cross_check(epi)
+    assert sum(c.fixed_cosets for c in transcript.per_power_fixed if c.i == i) == expected
 
 
 def test_coset_orbit_rejects_smoothness_violation():
-    with pytest.raises(ValueError, match="smoothness"):
-        coset_orbit_fixed_points(EXAMPLE1_ODD, 14, [7, 3], 2)
-
-
-def test_coset_orbit_rejects_identity_power():
-    with pytest.raises(ValueError, match="identity"):
-        coset_orbit_fixed_points(EXAMPLE1_ODD, 14, [7, 2], 14)
+    with pytest.raises(ValueError, match="SMOOTH-ELLIPTIC"):
+        cross_check(parse_map_text(EXAMPLE1_ODD, 14, "x=7,3;e=4"))
 
 
 def test_cross_check_example1():
@@ -108,7 +107,7 @@ def test_exponent_laws_small_sweep():
             delta, epsilon = exponents(order, v)
             assert epsilon in (delta, 2 * delta)
             assert oval_classes_doublecoset(order, v) == math.gcd(half, v) == half // delta
-            assert twist_oracle(order, v) == (math.gcd(order, v) == math.gcd(half, v))
+            assert (epsilon == 2 * delta) == (math.gcd(order, v) == math.gcd(half, v))
 
 
 def test_involution_sweep_agreement():
@@ -144,6 +143,15 @@ def test_oracle_catches_an_off_by_one_formula(monkeypatch, capsys):
         assert main(argv) == 3
         assert "gcd formula" in capsys.readouterr().err
 
+    # The power loop is what the coset-count tests rely on.
+    monkeypatch.setattr(
+        oracle,
+        "isolated_fixed_points",
+        lambda sig, order, i: isolated_fixed_points(sig, order, i) + (i == 2),
+    )
+    transcript = cross_check(parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5"))
+    assert "power 2: coset count 2, formula 3" in transcript.disagreements
+
 
 def test_involution_sweep_rejects_odd():
     with pytest.raises(ValueError, match="odd"):
@@ -151,13 +159,13 @@ def test_involution_sweep_rejects_odd():
 
 
 def test_coset_counts_match_formula_on_small_census():
+    # cross_check compares the coset recount with isolated_fixed_points at
+    # every power 1 <= i < M.
     for order in (2, 3, 4, 6):
         for sig in enumerate_signatures(order, 8):
             for epi in enumerate_epimorphisms(sig, order):
-                for i in range(1, order):
-                    assert coset_orbit_fixed_points(
-                        sig, order, epi.x_images, i
-                    ) == isolated_fixed_points(sig, order, i)
+                transcript = cross_check(epi)
+                assert transcript.agreement, transcript.disagreements
 
 
 def test_coset_counts_match_formula_up_to_order_40():
@@ -167,9 +175,7 @@ def test_coset_counts_match_formula_up_to_order_40():
     for order in range(21, 41):
         for sig in enumerate_signatures(order, 12):
             for epi in enumerate_epimorphisms(sig, order):
-                for i in range(1, order):
-                    assert coset_orbit_fixed_points(
-                        sig, order, epi.x_images, i
-                    ) == isolated_fixed_points(sig, order, i)
-                    checked += 1
+                transcript = cross_check(epi)
+                assert transcript.agreement, transcript.disagreements
+                checked += 1
     assert checked > 0
