@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -173,17 +174,20 @@ def _cmd_enumerate(args):
 
 
 def _cmd_census(args):
-    rows, disagreements = run_census(
-        args.order,
-        args.max_genus,
-        up_to_aut=args.up_to_aut,
-        verify=args.verify,
-        workers=args.workers,
-    )
+    # The output is opened first, so an unwritable path fails before the census
+    # runs; arguments that run_census rejects remove the still-empty file.
     try:
         sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     except OSError as exc:
         raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
+    try:
+        rows, disagreements = run_census(args.order, args.max_genus, up_to_aut=args.up_to_aut,
+                                         verify=args.verify, workers=args.workers)
+    except ValueError:
+        if args.output:
+            sink.close()
+            os.remove(args.output)
+        raise
     try:
         if args.fmt == "json":
             write_census_jsonl(rows, sink)

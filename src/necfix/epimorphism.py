@@ -80,9 +80,9 @@ class ValidationReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-def image_order(modulus, exponent):
-    """Order of t^exponent in the cyclic group of the given order."""
-    return modulus // math.gcd(modulus, exponent % modulus)
+def image_order(modulus, *exponents):
+    """Order of the subgroup of Z_modulus generated by the exponents (of t^u for one u)."""
+    return modulus // math.gcd(modulus, *exponents)
 
 
 def subgroup_generated(modulus, gens):
@@ -90,7 +90,9 @@ def subgroup_generated(modulus, gens):
 
     Computed by closure iteration, deliberately without gcd: this routine
     is the trusted base that the brute-force oracle uses to cross-check
-    the gcd formulas, so it must not share reasoning with them.
+    the gcd formulas, so it must not share reasoning with them.  Only the
+    oracle calls it.  It lives here rather than in `oracle` because the
+    oracle imports `validate` from this module.
     """
     gens = [g % modulus for g in gens]
     elements = {0}
@@ -181,12 +183,12 @@ def validate(epi):
         )
     )
 
-    image = subgroup_generated(order, epi.all_images())
+    size = image_order(order, *epi.all_images())
     checks.append(
         CheckResult(
             "SURJECTIVE",
-            len(image) == order,
-            f"images generate a subgroup of size {len(image)} of {order}",
+            size == order,
+            f"images generate a subgroup of size {size} of {order}",
         )
     )
 
@@ -208,19 +210,14 @@ def validate(epi):
     else:
         # The orientation-preserving subgroup is generated by the preserving
         # generators together with all products of two reversing ones.
-        pair_sums = [
-            (a + b) % order
-            for idx, a in enumerate(reversing)
-            for b in reversing[idx:]
-        ]
-        plus_image = subgroup_generated(order, preserving + pair_sums)
+        pair_sums = [a + b for idx, a in enumerate(reversing) for b in reversing[idx:]]
+        size = image_order(order, *preserving, *pair_sums)
         checks.append(
             CheckResult(
                 "KERNEL-NON-ORIENTABLE",
-                len(plus_image) == order,
-                f"orientation-preserving part maps onto a subgroup of size "
-                f"{len(plus_image)} of {order}"
-                + ("" if len(plus_image) == order else "; kernel would be orientable"),
+                size == order,
+                f"orientation-preserving part maps onto a subgroup of size {size} of {order}"
+                + ("" if size == order else "; kernel would be orientable"),
             )
         )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .epimorphism import validate
+from .epimorphism import image_order, validate
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,9 @@ def isolated_fixed_points(sig, order, i):
     integer order/m_j.  The count never depends on the generator images.
     Undefined for t^i the identity (i divisible by the order).
     """
-    i %= order
-    if i == 0:
+    d = image_order(order, i)
+    if d == 1:
         raise ValueError("t^i is the identity; its fixed-point set is the whole surface")
-    d = order // math.gcd(order, i)
     return sum(order // m for m in sig.periods if m % d == 0)
 
 
@@ -94,7 +93,7 @@ def full_report(epi):
     order = epi.modulus
     genus = report.kernel_genus
     per_power = tuple(
-        PowerFixedPoints(i, order // math.gcd(order, i), isolated_fixed_points(sig, order, i))
+        PowerFixedPoints(i, image_order(order, i), isolated_fixed_points(sig, order, i))
         for i in range(1, order)
     )
     involution = None

@@ -1,6 +1,5 @@
 import dataclasses
 import io
-import math
 
 import pytest
 

@@ -207,22 +207,37 @@ def test_verify_disagreement_exits_3(capsys, monkeypatch):
     assert "v=5" in err
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_census_rejects_workers_below_one(tmp_path, capsys, workers):
+@pytest.mark.parametrize(
+    "order, workers, message",
+    [
+        pytest.param("4", "0", "workers", id="0"),
+        pytest.param("4", "-3", "workers", id="-3"),
+        # run_census rejects the order too; the output is opened before that.
+        pytest.param("0", "1", "order", id="order-0"),
+    ],
+)
+def test_census_rejects_workers_below_one(tmp_path, capsys, order, workers, message):
     path = tmp_path / "rows.csv"
     code, out, err = run_cli(
         capsys,
-        "census", "--order", "4", "--max-genus", "6", "--workers", workers,
+        "census", "--order", order, "--max-genus", "6", "--workers", workers,
         "--output", str(path),
     )
     assert code == 2
     assert out == ""
-    assert "workers" in err
+    assert message in err
     assert not path.exists()
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
-def test_census_unwritable_output_exits_2(tmp_path, capsys, target):
+def test_census_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, target):
+    import necfix.cli as cli
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran before --output was opened")
+
+    # The path is opened before the census runs, so the census never starts.
+    monkeypatch.setattr(cli, "run_census", no_census)
     path = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
     code, out, err = run_cli(
         capsys,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from necfix import (
     CyclicEpimorphism,
-    NecSignature,
     Sign,
     format_map_text,
     image_order,
@@ -48,10 +47,12 @@ def test_subgroup_generated_is_a_subgroup(order, gens):
     assert all((a + b) % order in member for a in member for b in member)
 
 
-@given(st.integers(min_value=1, max_value=100), st.integers(min_value=0, max_value=99))
-def test_cyclic_subgroup_size_against_gcd(order, u):
-    elements = subgroup_generated(order, [u])
-    assert len(elements) * math.gcd(order, u % order) == order
+@given(
+    st.integers(min_value=1, max_value=100),
+    st.lists(st.integers(min_value=-200, max_value=200), max_size=4),
+)
+def test_cyclic_subgroup_size_against_gcd(order, gens):
+    assert image_order(order, *gens) == len(subgroup_generated(order, gens))
 
 
 def test_validate_example1_odd():
@@ -195,6 +196,46 @@ def test_validity_is_unit_equivariant(data):
         tuple(unit * v % order for v in epi.orient_images),
     )
     assert validate(epi).valid == validate(scaled).valid
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_subgroup_checks_against_closure(data):
+    # validate sizes subgroups with image_order; recount them by closure.
+    sig = data.draw(st.sampled_from(SIG_POOL))
+    order = data.draw(st.integers(min_value=1, max_value=16))
+    images = st.integers(min_value=0, max_value=order - 1)
+    n_orient = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
+    epi = CyclicEpimorphism(
+        sig,
+        order,
+        tuple(data.draw(images) for _ in sig.periods),
+        tuple(data.draw(images) for _ in range(sig.empty_cycles)),
+        tuple(data.draw(images) for _ in range(sig.empty_cycles)),
+        tuple(data.draw(images) for _ in range(n_orient)),
+    )
+    report = validate(epi)
+
+    size = len(subgroup_generated(order, epi.all_images()))
+    surjective = check(report, "SURJECTIVE")
+    assert surjective.passed == (size == order)
+    assert surjective.detail == f"images generate a subgroup of size {size} of {order}"
+
+    if sig.sign is Sign.MINUS:
+        preserving = [*epi.x_images, *epi.e_images]
+        reversing = [*epi.c_images, *epi.orient_images]
+    else:
+        preserving = [*epi.x_images, *epi.e_images, *epi.orient_images]
+        reversing = list(epi.c_images)
+    assert reversing  # every SIG_POOL signature has an orientation-reversing generator
+    pairs = [a + b for idx, a in enumerate(reversing) for b in reversing[idx:]]
+    size = len(subgroup_generated(order, preserving + pairs))
+    plus = check(report, "KERNEL-NON-ORIENTABLE")
+    assert plus.passed == (size == order)
+    assert plus.detail == (
+        f"orientation-preserving part maps onto a subgroup of size {size} of {order}"
+        + ("" if size == order else "; kernel would be orientable")
+    )
 
 
 def test_validity_invariant_under_permuting_equal_periods():

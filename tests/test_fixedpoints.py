@@ -3,7 +3,6 @@ import math
 import pytest
 
 from necfix import (
-    CyclicEpimorphism,
     full_report,
     isolated_fixed_points,
     parse_map_text,
