@@ -183,6 +183,14 @@ def _census_task(args):
     return rows, disagreements
 
 
+def check_census_args(order, workers):
+    """Raise ValueError for an order or worker count that run_census rejects."""
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
     """Census of every valid assignment at one order up to a genus bound.
 
@@ -192,8 +200,7 @@ def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
     lexicographic) regardless of the worker count.  The pool never exceeds
     the task count or the CPU count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_census_args(order, workers)
     tasks = [(sig, order, up_to_aut, verify) for sig in enumerate_signatures(order, max_genus)]
     rows = []
     disagreements = []

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -23,6 +22,7 @@ from .census import (
     CSV_COLUMNS,
     CensusRow,
     census_row_csv,
+    check_census_args,
     enumerate_epimorphisms,
     is_canonical,
     max_cyclic_order,
@@ -174,21 +174,17 @@ def _cmd_enumerate(args):
 
 
 def _cmd_census(args):
-    # The output is opened first, so an unwritable path fails before the census
-    # runs; arguments that run_census rejects remove the still-empty file.
+    check_census_args(args.order, args.workers)
+    # Append mode leaves an existing file untouched until the census has finished.
     try:
-        sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+        sink = open(args.output, "a", encoding="utf-8") if args.output else sys.stdout
     except OSError as exc:
         raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
     try:
         rows, disagreements = run_census(args.order, args.max_genus, up_to_aut=args.up_to_aut,
                                          verify=args.verify, workers=args.workers)
-    except ValueError:
         if args.output:
-            sink.close()
-            os.remove(args.output)
-        raise
-    try:
+            sink.truncate(0)
         if args.fmt == "json":
             write_census_jsonl(rows, sink)
         elif args.fmt == "csv":

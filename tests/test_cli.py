@@ -212,21 +212,25 @@ def test_verify_disagreement_exits_3(capsys, monkeypatch):
     [
         pytest.param("4", "0", "workers", id="0"),
         pytest.param("4", "-3", "workers", id="-3"),
-        # run_census rejects the order too; the output is opened before that.
+        # An order that run_census rejects leaves no file either.
         pytest.param("0", "1", "order", id="order-0"),
     ],
 )
 def test_census_rejects_workers_below_one(tmp_path, capsys, order, workers, message):
     path = tmp_path / "rows.csv"
-    code, out, err = run_cli(
-        capsys,
-        "census", "--order", order, "--max-genus", "6", "--workers", workers,
-        "--output", str(path),
-    )
-    assert code == 2
-    assert out == ""
-    assert message in err
+    existing = tmp_path / "old.csv"
+    existing.write_bytes(b"#trailer,rows=0,sha256=old\n")
+    for target in (path, existing):
+        code, out, err = run_cli(
+            capsys,
+            "census", "--order", order, "--max-genus", "6", "--workers", workers,
+            "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
     assert not path.exists()
+    assert existing.read_bytes() == b"#trailer,rows=0,sha256=old\n"
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
@@ -249,6 +253,30 @@ def test_census_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, target)
     assert err.count("\n") == 1
     assert err.startswith("error: cannot write --output ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_census_output_replaces_existing_file(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text("stale\n" * 5000)
+    args = ("census", "--order", "4", "--max-genus", "6", "--format", "csv")
+    code, _, _ = run_cli(capsys, *args, "--output", str(path))
+    assert code == 0
+    _, out, _ = run_cli(capsys, *args)
+    assert path.read_text(encoding="utf-8") == out
+
+
+def test_census_interrupted_run_keeps_existing_output(tmp_path, monkeypatch):
+    import necfix.cli as cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_census", interrupted)
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"#trailer,rows=0,sha256=old\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["census", "--order", "4", "--max-genus", "6", "--output", str(path)])
+    assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
 
 
 def test_census_disagreement_exits_3(capsys, monkeypatch):

@@ -198,6 +198,59 @@ def test_validity_is_unit_equivariant(data):
     assert validate(epi).valid == validate(scaled).valid
 
 
+def preserving_image_by_parity(order, letters):
+    """Images of the words with an even number of orientation-reversing letters.
+
+    letters holds (image, reverses_orientation) pairs.  The closure runs in
+    Z_order x Z_2, whose second coordinate counts reversing letters mod 2.
+    """
+    gens = [(u % order, int(rev)) for u, rev in letters]
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        a, parity = frontier.pop()
+        for u, rev in gens:
+            nxt = ((a + u) % order, parity ^ rev)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return {a for a, parity in seen if parity == 0}
+
+
+def orientation_letters(epi):
+    """(image, reverses_orientation) for every generator letter of the map:
+    reflections reverse orientation, and so do the glide reflections of a
+    non-orientable (sign -) signature; elliptic, connecting and sign +
+    hyperbolic letters preserve it."""
+    glides_reverse = epi.sig.sign is Sign.MINUS
+    return (
+        [(u, False) for u in epi.x_images]
+        + [(u, False) for u in epi.e_images]
+        + [(u, True) for u in epi.c_images]
+        + [(u, glides_reverse) for u in epi.orient_images]
+    )
+
+
+@pytest.mark.parametrize(
+    "sig_text, order, images, size",
+    [
+        # The glide image 3 is odd and the elliptic images are even, so the
+        # words with an even number of glides reach only the even residues.
+        ("(1;-;[2,4];{})", 8, "x=4,6;d=3", 4),
+        ("(1;-;[2,4];{})", 4, "x=2,1;d=1", 4),
+        # With sign +, a and b preserve orientation; only the reflection
+        # reverses.  Counting a and b as reversing would give size 1.
+        ("(1;+;[];{()})", 2, "e=0;a=1;b=1", 2),
+    ],
+)
+def test_preserving_image_by_parity_known_answers(sig_text, order, images, size):
+    epi = parse_map_text(parse_signature(sig_text), order, images)
+    letters = orientation_letters(epi)
+    assert len(preserving_image_by_parity(order, letters)) == size
+    detail = check(validate(epi), "KERNEL-NON-ORIENTABLE").detail
+    assert f"subgroup of size {size} of {order}" in detail
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_subgroup_checks_against_closure(data):
@@ -221,15 +274,9 @@ def test_subgroup_checks_against_closure(data):
     assert surjective.passed == (size == order)
     assert surjective.detail == f"images generate a subgroup of size {size} of {order}"
 
-    if sig.sign is Sign.MINUS:
-        preserving = [*epi.x_images, *epi.e_images]
-        reversing = [*epi.c_images, *epi.orient_images]
-    else:
-        preserving = [*epi.x_images, *epi.e_images, *epi.orient_images]
-        reversing = list(epi.c_images)
-    assert reversing  # every SIG_POOL signature has an orientation-reversing generator
-    pairs = [a + b for idx, a in enumerate(reversing) for b in reversing[idx:]]
-    size = len(subgroup_generated(order, preserving + pairs))
+    letters = orientation_letters(epi)
+    assert any(rev for _, rev in letters)  # else validate reports no subgroup size
+    size = len(preserving_image_by_parity(order, letters))
     plus = check(report, "KERNEL-NON-ORIENTABLE")
     assert plus.passed == (size == order)
     assert plus.detail == (
