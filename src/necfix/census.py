@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -70,7 +70,8 @@ def enumerate_signatures(order, max_genus):
         return out
     bound = Fraction(max_genus - 2, order)
     budget = bound + 2
-    divisors = [m for m in range(2, order + 1) if order % m == 0]
+    small = [m for m in range(1, math.isqrt(order) + 1) if order % m == 0]
+    divisors = sorted({*small, *(order // m for m in small)} - {1})
     for sign in (Sign.PLUS, Sign.MINUS):
         alpha = 2 if sign is Sign.PLUS else 1
         genus = 0 if sign is Sign.PLUS else 1
@@ -295,7 +296,7 @@ def census_row_record(row):
         "scherrer_equality": involution is not None and involution.scherrer_equality,
         "canonical": row.canonical,
         "shadow_key": shadow_key(row.epi),
-        "report": asdict(row.report),
+        "report": row.report,
     }
 
 
@@ -319,13 +320,14 @@ def write_census_jsonl(rows, fh):
     stream = _HashingStream(fh)
     count = 0
     for row in rows:
-        stream.write(json.dumps(census_row_record(row), sort_keys=True) + "\n")
+        stream.write(to_json(census_row_record(row)) + "\n")
         count += 1
-    fh.write(
-        json.dumps(
-            {"rows": count, "sha256": stream.digest.hexdigest(), "type": "trailer"},
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    trailer = {"rows": count, "sha256": stream.digest.hexdigest(), "type": "trailer"}
+    fh.write(to_json(trailer) + "\n")
     return count
+
+
+def to_json(obj):
+    """The one JSON encoding of every record necfix prints: keys sorted, and
+    each dataclass written as its fields (``vars``), tuples as arrays."""
+    return json.dumps(obj, sort_keys=True, default=vars)

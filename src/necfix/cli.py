@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
-from dataclasses import asdict
 
 from .census import (
     CSV_COLUMNS,
@@ -27,6 +25,7 @@ from .census import (
     is_canonical,
     max_cyclic_order,
     run_census,
+    to_json,
     write_census_csv,
     write_census_jsonl,
 )
@@ -118,18 +117,14 @@ def _cmd_analyze(args):
     validation = validate(epi)
     if not validation.valid:
         if args.fmt == "json":
-            print(json.dumps({"validation": asdict(validation), "report": None}, sort_keys=True))
+            print(to_json({"validation": validation, "report": None}))
         else:
             # csv stdout carries rows only; the check table is a diagnostic.
             _print_validation(validation, sys.stderr if args.fmt == "csv" else None)
         return EXIT_INVALID
     report = full_report(epi)
     if args.fmt == "json":
-        print(
-            json.dumps(
-                {"validation": asdict(validation), "report": asdict(report)}, sort_keys=True
-            )
-        )
+        print(to_json({"validation": validation, "report": report}))
     elif args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -152,15 +147,15 @@ def _cmd_enumerate(args):
             "maps": [
                 {
                     "map": format_map_text(e),
-                    "x_images": list(e.x_images),
-                    "e_images": list(e.e_images),
-                    "c_images": list(e.c_images),
-                    "orient_images": list(e.orient_images),
+                    "x_images": e.x_images,
+                    "e_images": e.e_images,
+                    "c_images": e.c_images,
+                    "orient_images": e.orient_images,
                 }
                 for e in epis
             ],
         }
-        print(json.dumps(payload, sort_keys=True))
+        print(to_json(payload))
     elif args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["signature", "M", "images"])
@@ -212,9 +207,11 @@ def _cmd_census(args):
 
 def _cmd_verify(args):
     if args.all_v:
+        if args.signature or args.map_text:
+            raise ValueError("--all-v sweeps every v at --order; drop the signature and --map")
         transcript = involution_sweep(args.order)
         if args.fmt == "json":
-            print(json.dumps(asdict(transcript), sort_keys=True))
+            print(to_json(transcript))
         else:
             print(f"order {args.order}: swept v=0..{args.order - 1}, "
                   f"agreement={transcript.agreement}")
@@ -226,7 +223,7 @@ def _cmd_verify(args):
         epi = parse_map_text(sig, args.order, args.map_text)
         transcript = cross_check(epi)
         if args.fmt == "json":
-            print(json.dumps(asdict(transcript), sort_keys=True))
+            print(to_json(transcript))
         else:
             print(f"{format_signature(sig)} M={args.order}: agreement={transcript.agreement}")
     if not transcript.agreement:
@@ -238,7 +235,7 @@ def _cmd_verify(args):
 def _cmd_max_order(args):
     largest = max_cyclic_order(args.genus, cap=args.cap)
     if args.fmt == "json":
-        print(json.dumps({"genus": args.genus, "max_order": largest}, sort_keys=True))
+        print(to_json({"genus": args.genus, "max_order": largest}))
     else:
         print(f"max cyclic order at genus {args.genus}: {largest}")
     return EXIT_OK

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from necfix import NecSignature, Sign
+from necfix import NecSignature, Sign, parse_signature
 
 period_values = st.integers(min_value=2, max_value=12)
 
@@ -23,3 +23,13 @@ def signatures(draw, max_periods=4, max_cycles=3, max_genus=4, allow_links=False
             )
         )
     return NecSignature(genus, sign, periods, empty, links)
+
+
+# Small signatures with valid maps at several orders, for property tests.
+SIG_POOL = [
+    parse_signature("(0;+;[2,7];{()})"),
+    parse_signature("(0;+;[2,2,4,4];{()})"),
+    parse_signature("(1;-;[2,4];{})"),
+    parse_signature("(2;-;[3];{})"),
+    parse_signature("(1;+;[2];{()})"),
+]

@@ -1,30 +1,41 @@
 import dataclasses
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necfix import (
     CyclicEpimorphism,
+    Sign,
+    cross_check,
     enumerate_epimorphisms,
     enumerate_signatures,
     format_signature,
+    full_report,
+    involution_sweep,
     kernel_genus,
     max_cyclic_order,
     orbifold_measure,
     parse_map_text,
     parse_signature,
     run_census,
+    validate,
 )
 from necfix.census import (
     CensusRow,
     census_row_record,
     is_canonical,
     shadow_key,
+    to_json,
     units,
     write_census_csv,
     write_census_jsonl,
 )
 from fractions import Fraction
+
+from strategies import SIG_POOL
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2 = parse_signature("(0;+;[2,2,4,4];{()})")
@@ -223,8 +234,6 @@ def test_census_trailer_checksum():
 
 
 def test_census_jsonl_trailer():
-    import json
-
     rows, _ = run_census(4, 6)
     buf = io.StringIO()
     write_census_jsonl(rows, buf)
@@ -234,6 +243,52 @@ def test_census_jsonl_trailer():
     assert trailer["rows"] == len(lines) - 1
     record = json.loads(lines[0])
     assert {"signature", "modulus", "images", "kernel_genus", "report"} <= set(record)
+
+
+ENCODING_ORDERS = (2, 3, 4, 6, 8, 9, 12, 14)
+# Every valid map of the pool at these orders: 424 maps, 18 of them at odd
+# orders, whose reports have no involution.
+VALID_POOL_MAPS = [
+    epi for sig in SIG_POOL for order in ENCODING_ORDERS
+    for epi in enumerate_epimorphisms(sig, order)
+]
+
+
+def assert_encodes_as_asdict(obj):
+    # The reference is the deep asdict copy that to_json does without.
+    assert to_json(obj) == json.dumps(dataclasses.asdict(obj), sort_keys=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_to_json_matches_asdict_reference(data):
+    epi = data.draw(st.sampled_from(VALID_POOL_MAPS))
+    report = full_report(epi)
+    for obj in (validate(epi), report, cross_check(epi)):
+        assert_encodes_as_asdict(obj)
+    record = census_row_record(CensusRow(epi, report, is_canonical(epi)))
+    reference = {**record, "report": dataclasses.asdict(report)}
+    assert to_json(record) == json.dumps(reference, sort_keys=True)
+
+    # Random images: almost always an invalid map, with failed checks.
+    sig = data.draw(st.sampled_from(SIG_POOL))
+    order = data.draw(st.sampled_from(ENCODING_ORDERS))
+    images = st.integers(min_value=0, max_value=order - 1)
+    n_orient = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
+    drawn = CyclicEpimorphism(
+        sig,
+        order,
+        tuple(data.draw(images) for _ in sig.periods),
+        tuple(data.draw(images) for _ in range(sig.empty_cycles)),
+        tuple(data.draw(images) for _ in range(sig.empty_cycles)),
+        tuple(data.draw(images) for _ in range(n_orient)),
+    )
+    assert_encodes_as_asdict(validate(drawn))
+
+
+@pytest.mark.parametrize("order", range(2, 25, 2))
+def test_to_json_matches_asdict_reference_on_sweeps(order):
+    assert_encodes_as_asdict(involution_sweep(order))
 
 
 def test_census_workers_agree():

@@ -178,6 +178,21 @@ def test_verify_all_v_order_below_two_rejected(capsys, order):
     assert "at least 2" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        pytest.param(("(0;+;[2,7];{()})",), id="signature"),
+        pytest.param(("--map", "x=1,3;e=0"), id="map"),
+    ],
+)
+def test_verify_all_v_rejects_signature_and_map(capsys, extra):
+    code, out, err = run_cli(capsys, "verify", *extra, "--order", "4", "--all-v")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: --all-v")
+
+
 def test_verify_without_signature_or_sweep(capsys):
     code, _, err = run_cli(capsys, "verify", "--order", "14")
     assert code == 2
@@ -288,6 +303,22 @@ def test_census_disagreement_exits_3(capsys, monkeypatch):
     assert "bad tuple" in err
 
 
+def test_census_at_a_large_prime_order_finishes():
+    # A prime order near 10^9: the divisor search must stop at its square
+    # root, not scan every integer up to the order.
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "necfix.cli",
+            "census", "--order", "1000000007", "--max-genus", "3", "--format", "csv",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert result.returncode == 0
+    assert ",rows=0," in result.stdout
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["analyze", "--nope"]) == 2
 
@@ -309,46 +340,77 @@ def test_console_script_end_to_end():
 README_ACTION = ("(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,2;e=5", "--format", "json")
 
 
+# (argv, exit code, sha256 of stdout)
+PINNED_STDOUT = [
+    (
+        ("analyze", *README_ACTION),
+        0,
+        "a73e5ef850598024abf9c5242e0b1489c55fb7c915e02519dd18bacf1f153db2",
+    ),
+    (
+        ("verify", *README_ACTION),
+        0,
+        "1e332dea13cf596c34e7af0503905401fd5d334e2e7afa0651f1a353d9008e4c",
+    ),
+    (
+        ("verify", "--all-v", "--order", "12", "--format", "json"),
+        0,
+        "dd3fb2a8d07fd8efc6ef946e24e5eb1e70135329f5a1e8b05fabb86fb3f44934",
+    ),
+    # Every census field, its order and its formatting: 264 rows at
+    # order 6, 23 canonical rows at order 12.
+    (
+        ("census", "--order", "6", "--max-genus", "8", "--format", "csv"),
+        0,
+        "a37bd79c8b5a6a41da411f9476df24f91a7149c3c02cbad1fc29ed72b4733254",
+    ),
+    (
+        ("census", "--order", "6", "--max-genus", "8", "--format", "json"),
+        0,
+        "f174faad3b6c8d14a40d45246d88e9108de6ca2d9f5310d6a6351539e0028363",
+    ),
+    (
+        ("census", "--order", "12", "--max-genus", "10", "--up-to-aut", "--verify",
+         "--format", "csv"),
+        0,
+        "57c43bdcf2ab617cf14ccf76237370fe5c0cafcaa782a9dec8c5d77476fd07e3",
+    ),
+    (
+        ("analyze", *README_ACTION[:-1], "csv"),
+        0,
+        "70ca583210e61a60ad709303840f6cd63ce616bbb300557e63ad7471ff86e51d",
+    ),
+    # An invalid map (exit 4, "report": null), an odd-order census
+    # (60 rows, "involution": null) and a sign - action with a glide image.
+    (
+        ("analyze", "(0;+;[3,3,3];{})", "--order", "3", "--map", "x=1,1,1",
+         "--format", "json"),
+        4,
+        "6a62a0436ff81312bf10a75490cb2b7a8908f583ec23fd6900b15ae507a87096",
+    ),
+    (
+        ("census", "--order", "5", "--max-genus", "8", "--format", "json"),
+        0,
+        "f6d7dd75da539a86159b766334d963e3043738e87e519ddcb6acd2d5dd10ac0f",
+    ),
+    (
+        ("verify", "(1;-;[5,5];{})", "--order", "5", "--map", "x=1,2;d=1",
+         "--format", "json"),
+        0,
+        "bdf96d1b32aec1c0c3e48901d119e808f14843582aa9768157894732bba1be78",
+    ),
+]
+
+
+# Ids are "argv<n>-<digest>", independent of the other columns.
 @pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ("analyze", *README_ACTION),
-            "a73e5ef850598024abf9c5242e0b1489c55fb7c915e02519dd18bacf1f153db2",
-        ),
-        (
-            ("verify", *README_ACTION),
-            "1e332dea13cf596c34e7af0503905401fd5d334e2e7afa0651f1a353d9008e4c",
-        ),
-        (
-            ("verify", "--all-v", "--order", "12", "--format", "json"),
-            "dd3fb2a8d07fd8efc6ef946e24e5eb1e70135329f5a1e8b05fabb86fb3f44934",
-        ),
-        # Every census field, its order and its formatting: 264 rows at
-        # order 6, 23 canonical rows at order 12.
-        (
-            ("census", "--order", "6", "--max-genus", "8", "--format", "csv"),
-            "a37bd79c8b5a6a41da411f9476df24f91a7149c3c02cbad1fc29ed72b4733254",
-        ),
-        (
-            ("census", "--order", "6", "--max-genus", "8", "--format", "json"),
-            "f174faad3b6c8d14a40d45246d88e9108de6ca2d9f5310d6a6351539e0028363",
-        ),
-        (
-            ("census", "--order", "12", "--max-genus", "10", "--up-to-aut", "--verify",
-             "--format", "csv"),
-            "57c43bdcf2ab617cf14ccf76237370fe5c0cafcaa782a9dec8c5d77476fd07e3",
-        ),
-        (
-            ("analyze", *README_ACTION[:-1], "csv"),
-            "70ca583210e61a60ad709303840f6cd63ce616bbb300557e63ad7471ff86e51d",
-        ),
-    ],
+    "argv, exit_code, digest",
+    [pytest.param(*case, id=f"argv{n}-{case[2]}") for n, case in enumerate(PINNED_STDOUT)],
 )
-def test_json_stdout_is_pinned(capsys, argv, digest):
+def test_json_stdout_is_pinned(capsys, argv, exit_code, digest):
     # The json and csv stdout is a contract: any change to these bytes is a
     # change to the documented output, not a refactor.
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

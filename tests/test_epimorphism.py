@@ -16,6 +16,8 @@ from necfix import (
     validate,
 )
 
+from strategies import SIG_POOL
+
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2_R3 = parse_signature("(0;+;[2,2,2,4,4];{()})")
 
@@ -160,15 +162,6 @@ def test_images_reduced_mod_order():
     epi = CyclicEpimorphism(EXAMPLE1_ODD, 14, (21, -12), (19,), (7,))
     assert epi.x_images == (7, 2)
     assert epi.e_images == (5,)
-
-
-SIG_POOL = [
-    parse_signature("(0;+;[2,7];{()})"),
-    parse_signature("(0;+;[2,2,4,4];{()})"),
-    parse_signature("(1;-;[2,4];{})"),
-    parse_signature("(2;-;[3];{})"),
-    parse_signature("(1;+;[2];{()})"),
-]
 
 
 @settings(max_examples=150)
