@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .epimorphism import (
-    CyclicEpimorphism,
-    format_map_text,
-    image_order,
-    validate,
-)
+from .epimorphism import CyclicEpimorphism, format_map_text, validate
 from .fixedpoints import FixedPointReport, full_report, twists_field
 from .oracle import cross_check
 from .signature import NecSignature, Sign, format_signature, kernel_genus
@@ -95,27 +90,25 @@ def enumerate_signatures(order, max_genus):
 
 def _iter_epimorphisms(sig, order):
     """Yield the valid assignments for one signature, in lexicographic order
-    of the (x, e, orientation) image tuple."""
-    if sig.nonempty_cycles:
-        return
+    of the (x, e, orientation) image tuple.  x images have exact order m_i;
+    a map is built only when the long relation holds (weight 1 for x and e,
+    2 for glides, 0 for a/b), and validate decides the rest."""
     cycles = sig.empty_cycles
-    if cycles and order % 2:
+    if sig.nonempty_cycles or (cycles and order % 2):
         return
-    x_candidates = [
-        [u for u in range(order) if image_order(order, u) == m] for m in sig.periods
-    ]
-    if any(not c for c in x_candidates):
-        return
-    c_fixed = (order // 2,) * cycles
+    r = len(sig.periods)
+    x_slots = [[order // m * k for k in units(m)] if order % m == 0 else [] for m in sig.periods]
     n_orient = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
-    free = [range(order)] * (cycles + n_orient)
-    for xs in product(*x_candidates):
-        for rest in product(*free):
-            epi = CyclicEpimorphism(
-                sig, order, xs, rest[:cycles], c_fixed, rest[cycles:]
-            )
-            if validate(epi).valid:
-                yield epi
+    glide = 2 if sig.sign is Sign.MINUS else 0
+    weights = (1,) * (r + cycles) + (glide,) * n_orient
+    c_fixed = (order // 2,) * cycles
+    for images in product(*x_slots, *[range(order)] * (cycles + n_orient)):
+        if sum(w * v for w, v in zip(weights, images)) % order:
+            continue
+        xs, es, orient = images[:r], images[r : r + cycles], images[r + cycles :]
+        epi = CyclicEpimorphism(sig, order, xs, es, c_fixed, orient)
+        if validate(epi).valid:
+            yield epi
 
 
 def units(order):
@@ -137,10 +130,12 @@ def enumerate_epimorphisms(sig, order, up_to_aut=False):
     """All valid assignments for sig onto the cyclic group of this order.
 
     Reflection images are pinned to order/2 (the only candidate value), so
-    the search runs over the x, e and orientation images.  With up_to_aut,
-    only the lexicographically least representative of each orbit under
-    unit multiplication is kept.  Returns an empty list when no smooth
-    epimorphism with non-orientable surface kernel exists.
+    the search runs over the x, e and orientation images: each x image over
+    the elements of exact order m_i, and a map is built only when the long
+    relation holds.  With up_to_aut, only the lexicographically least
+    representative of each orbit under unit multiplication is kept.  Returns
+    an empty list when no smooth epimorphism with non-orientable surface
+    kernel exists.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")

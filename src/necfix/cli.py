@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import signal
 import sys
 
 from .census import (
@@ -217,8 +218,7 @@ def _cmd_verify(args):
                   f"agreement={transcript.agreement}")
     else:
         if not args.signature:
-            print("verify needs a signature (or --all-v)", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("verify needs a signature (or --all-v)")
         sig = parse_signature(args.signature)
         epi = parse_map_text(sig, args.order, args.map_text)
         transcript = cross_check(epi)
@@ -267,6 +267,9 @@ def main(argv=None):
 
 
 def console_entry():
+    # A closed stdout (``necfix census ... | head -1``) ends the run quietly.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import io
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import necfix.census
 from necfix import (
     CyclicEpimorphism,
     Sign,
@@ -102,6 +104,59 @@ def test_enumeration_is_lexicographic():
     raw = enumerate_epimorphisms(EXAMPLE1_ODD, 14)
     keys = [(e.x_images, e.e_images, e.orient_images) for e in raw]
     assert keys == sorted(keys)
+
+
+# Tuple spaces above this many assignments are skipped to keep the brute
+# force below about two seconds.
+BRUTE_FORCE_CAP = 10_000
+BRUTE_FORCE_SIGS = [
+    *SIG_POOL,
+    parse_signature("(1;+;[2];{})"),
+    parse_signature("(1;-;[3,9];{})"),
+    parse_signature("(0;+;[];{()()})"),
+]
+
+
+def _brute_force_epimorphisms(sig, order):
+    # Every image over Z_M, reflection images included, kept by validate alone.
+    k = sig.empty_cycles
+    n_orient = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
+    r = len(sig.periods)
+    found = []
+    for images in itertools.product(range(order), repeat=r + 2 * k + n_orient):
+        epi = CyclicEpimorphism(
+            sig, order, images[:r], images[r : r + k], images[r + k : r + 2 * k],
+            images[r + 2 * k :],
+        )
+        if validate(epi).valid:
+            found.append(epi)
+    return sorted(found, key=lambda e: (e.x_images, e.e_images, e.orient_images))
+
+
+def test_enumeration_matches_brute_force(monkeypatch):
+    reports = []
+
+    def recording_validate(epi):
+        reports.append(validate(epi))
+        return reports[-1]
+
+    monkeypatch.setattr(necfix.census, "validate", recording_validate)
+    mismatches = []
+    for sig in BRUTE_FORCE_SIGS:
+        slots = len(sig.periods) + 2 * sig.empty_cycles + sig.genus * (
+            2 if sig.sign is Sign.PLUS else 1
+        )
+        for order in range(1, 9):
+            if order**slots > BRUTE_FORCE_CAP:
+                continue
+            if enumerate_epimorphisms(sig, order) != _brute_force_epimorphisms(sig, order):
+                mismatches.append((format_signature(sig), order))
+    assert mismatches == []
+    # The generator itself satisfies the first three checks; validate only
+    # has surjectivity, the kernel's orientability and the genus left to reject.
+    first_failures = {r.failed()[0] for r in reports if not r.valid}
+    assert not first_failures & {"REFLECTIONS", "SMOOTH-ELLIPTIC", "LONG-RELATION"}
+    assert reports
 
 
 def _unit_multiple(epi, unit):

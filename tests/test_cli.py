@@ -1,5 +1,6 @@
 import hashlib
 import json
+import signal
 import subprocess
 import sys
 
@@ -196,6 +197,7 @@ def test_verify_all_v_rejects_signature_and_map(capsys, extra):
 def test_verify_without_signature_or_sweep(capsys):
     code, _, err = run_cli(capsys, "verify", "--order", "14")
     assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_max_order(capsys):
@@ -319,6 +321,26 @@ def test_census_at_a_large_prime_order_finishes():
     assert ",rows=0," in result.stdout
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_census_into_a_closed_pipe_ends_quietly():
+    # The JSON rows (about 168 KB) overfill a pipe buffer, so the census is
+    # still writing when the reader goes away, as with `| head -1`.
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "necfix.cli",
+            "census", "--order", "6", "--max-genus", "8", "--format", "json",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == -signal.SIGPIPE
+    assert err == b""
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["analyze", "--nope"]) == 2
 
@@ -398,6 +420,18 @@ PINNED_STDOUT = [
          "--format", "json"),
         0,
         "bdf96d1b32aec1c0c3e48901d119e808f14843582aa9768157894732bba1be78",
+    ),
+    # Glides where 2d = r has two roots (480 rows), and an odd composite
+    # order whose units are not 1..M-1 (186 rows).
+    (
+        ("census", "--order", "8", "--max-genus", "10", "--format", "csv"),
+        0,
+        "9f38fa2f80d7ba34891d8bb176d28ea5f1b75eb811cf0544d639741b8e40ae1c",
+    ),
+    (
+        ("census", "--order", "9", "--max-genus", "12", "--format", "csv"),
+        0,
+        "972cb62262f5469c36a67ab95b4765decdf84f97ac0152aa167beef57ff24cb5",
     ),
 ]
 
