@@ -36,31 +36,18 @@ class CyclicEpimorphism:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
-        for field in ("x_images", "e_images", "c_images", "orient_images"):
-            reduced = tuple(v % self.modulus for v in getattr(self, field))
-            object.__setattr__(self, field, reduced)
         sig = self.sig
-        if len(self.x_images) != len(sig.periods):
-            raise ValueError(
-                f"expected {len(sig.periods)} x images, got {len(self.x_images)}"
-            )
-        if len(self.e_images) != sig.empty_cycles:
-            raise ValueError(
-                f"expected {sig.empty_cycles} e images, got {len(self.e_images)}"
-            )
-        if len(self.c_images) != sig.empty_cycles:
-            raise ValueError(
-                f"expected {sig.empty_cycles} c images, got {len(self.c_images)}"
-            )
-        expected = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
-        if len(self.orient_images) != expected:
-            kind = "a/b" if sig.sign is Sign.PLUS else "glide"
-            raise ValueError(
-                f"expected {expected} {kind} images, got {len(self.orient_images)}"
-            )
-
-    def all_images(self):
-        return [*self.x_images, *self.e_images, *self.c_images, *self.orient_images]
+        plus = sig.sign is Sign.PLUS
+        for field, count, label in (
+            ("x_images", len(sig.periods), "x"),
+            ("e_images", sig.empty_cycles, "e"),
+            ("c_images", sig.empty_cycles, "c"),
+            ("orient_images", 2 * sig.genus if plus else sig.genus, "a/b" if plus else "glide"),
+        ):
+            reduced = tuple(v % self.modulus for v in getattr(self, field))
+            if len(reduced) != count:
+                raise ValueError(f"expected {count} {label} images, got {len(reduced)}")
+            object.__setattr__(self, field, reduced)
 
 
 @dataclass(frozen=True)
@@ -91,8 +78,9 @@ def subgroup_generated(modulus, gens):
     Computed by closure iteration, deliberately without gcd: this routine
     is the trusted base that the brute-force oracle uses to cross-check
     the gcd formulas, so it must not share reasoning with them.  Only the
-    oracle calls it.  It lives here rather than in `oracle` because the
-    oracle imports `validate` from this module.
+    oracle calls it.  It could live in `oracle` without an import cycle; it
+    stays here because `perfbench/tracing.py` binds
+    `epimorphism.subgroup_generated`.
     """
     gens = [g % modulus for g in gens]
     elements = {0}
@@ -123,121 +111,91 @@ def validate(epi):
                              of glides contribute twice their image.
       SURJECTIVE             the images generate all of Z_M.
       KERNEL-NON-ORIENTABLE  the orientation-preserving subgroup still maps
-                             onto Z_M, so the kernel is not contained in it.
+                             onto Z_M, so the kernel is not contained in it;
+                             its image is generated by the preserving images
+                             and r0 + r for each reversing image r.
       GENUS                  the kernel genus is an integer at least 3.
     """
     sig = epi.sig
     order = epi.modulus
-    checks = []
-
+    half = order // 2
     if sig.nonempty_cycles:
-        reflections = CheckResult(
-            "REFLECTIONS",
-            False,
+        reflections = False, (
             "link periods present: the product of two distinct reflections would "
-            "have finite order, impossible when both map to the unique involution",
+            "have finite order, impossible when both map to the unique involution"
         )
-    elif sig.empty_cycles == 0:
-        reflections = CheckResult("REFLECTIONS", True, "no reflections")
+    elif not sig.empty_cycles:
+        reflections = True, "no reflections"
     elif order % 2:
-        reflections = CheckResult(
-            "REFLECTIONS", False, f"reflections need an order-2 image but {order} is odd"
-        )
+        reflections = False, f"reflections need an order-2 image but {order} is odd"
+    elif all(c == half for c in epi.c_images):
+        reflections = True, f"all reflection images equal {half}"
     else:
-        half = order // 2
-        if all(c == half for c in epi.c_images):
-            reflections = CheckResult("REFLECTIONS", True, f"all reflection images equal {half}")
-        else:
-            reflections = CheckResult(
-                "REFLECTIONS",
-                False,
-                f"reflection images {list(epi.c_images)} must all equal {half}",
-            )
-    checks.append(reflections)
+        reflections = False, f"reflection images {list(epi.c_images)} must all equal {half}"
 
     bad = [
-        (m, u)
+        f"image {u} has order {n}, period is {m}"
         for m, u in zip(sig.periods, epi.x_images)
-        if image_order(order, u) != m
+        if (n := image_order(order, u)) != m
     ]
-    checks.append(
-        CheckResult(
-            "SMOOTH-ELLIPTIC",
-            not bad,
-            "every elliptic image has the full period order"
-            if not bad
-            else "; ".join(
-                f"image {u} has order {image_order(order, u)}, period is {m}" for m, u in bad
-            ),
-        )
-    )
 
-    total = sum(epi.x_images) + sum(epi.e_images)
+    # The one orientation split: glides reverse orientation, a/b preserve it.
     if sig.sign is Sign.MINUS:
-        total += 2 * sum(epi.orient_images)
-    checks.append(
-        CheckResult(
-            "LONG-RELATION",
-            total % order == 0,
-            f"defining product maps to {total % order} (mod {order})",
-        )
-    )
-
-    size = image_order(order, *epi.all_images())
-    checks.append(
-        CheckResult(
-            "SURJECTIVE",
-            size == order,
-            f"images generate a subgroup of size {size} of {order}",
-        )
-    )
-
-    if sig.sign is Sign.MINUS:
-        preserving = [*epi.x_images, *epi.e_images]
-        reversing = [*epi.c_images, *epi.orient_images]
+        glides, handles = epi.orient_images, ()
     else:
-        preserving = [*epi.x_images, *epi.e_images, *epi.orient_images]
-        reversing = list(epi.c_images)
+        glides, handles = (), epi.orient_images
+    total = (sum(epi.x_images) + sum(epi.e_images) + 2 * sum(glides)) % order
+
+    size = image_order(order, *epi.x_images, *epi.e_images, *epi.c_images, *epi.orient_images)
+
+    reversing = (*epi.c_images, *glides)
     if not reversing:
-        checks.append(
-            CheckResult(
-                "KERNEL-NON-ORIENTABLE",
-                False,
-                "every generator preserves orientation, so the kernel is an "
-                "orientable surface group",
-            )
+        non_orientable = False, (
+            "every generator preserves orientation, so the kernel is an "
+            "orientable surface group"
         )
     else:
         # The orientation-preserving subgroup is generated by the preserving
-        # generators together with all products of two reversing ones.
-        pair_sums = [a + b for idx, a in enumerate(reversing) for b in reversing[idx:]]
-        size = image_order(order, *preserving, *pair_sums)
-        checks.append(
-            CheckResult(
-                "KERNEL-NON-ORIENTABLE",
-                size == order,
-                f"orientation-preserving part maps onto a subgroup of size {size} of {order}"
-                + ("" if size == order else "; kernel would be orientable"),
-            )
+        # generators and the products of two reversing ones.  The sums
+        # r0 + r over the reversing images r generate every such product,
+        # since ri + rj = (r0 + ri) + (r0 + rj) - 2 r0 and 2 r0 = r0 + r0 is
+        # one of them: linearly many generators instead of all pairs.
+        r0 = reversing[0]
+        plus_size = image_order(
+            order, *epi.x_images, *epi.e_images, *handles, *(r0 + r for r in reversing)
+        )
+        non_orientable = plus_size == order, (
+            f"orientation-preserving part maps onto a subgroup of size {plus_size} of {order}"
+            + ("" if plus_size == order else "; kernel would be orientable")
         )
 
-    genus = None
     try:
         genus = kernel_genus(sig, order)
     except ValueError as exc:
-        checks.append(CheckResult("GENUS", False, str(exc)))
+        genus, genus_check = None, (False, str(exc))
     else:
-        checks.append(
-            CheckResult(
-                "GENUS",
-                genus >= 3,
-                f"kernel surface has genus {genus}"
-                + ("" if genus >= 3 else ", below the required 3"),
-            )
+        genus_check = genus >= 3, (
+            f"kernel surface has genus {genus}" + ("" if genus >= 3 else ", below the required 3")
         )
 
+    checks = (
+        CheckResult("REFLECTIONS", *reflections),
+        CheckResult(
+            "SMOOTH-ELLIPTIC",
+            not bad,
+            "; ".join(bad) or "every elliptic image has the full period order",
+        ),
+        CheckResult(
+            "LONG-RELATION", total == 0, f"defining product maps to {total} (mod {order})"
+        ),
+        CheckResult(
+            "SURJECTIVE", size == order, f"images generate a subgroup of size {size} of {order}"
+        ),
+        CheckResult("KERNEL-NON-ORIENTABLE", *non_orientable),
+        CheckResult("GENUS", *genus_check),
+    )
     valid = all(c.passed for c in checks)
-    return ValidationReport(valid, tuple(checks), genus if valid else None)
+    return ValidationReport(valid, checks, genus if valid else None)
 
 
 _MAP_KEYS = ("x", "e", "c", "a", "b", "d")

@@ -433,6 +433,39 @@ PINNED_STDOUT = [
         0,
         "972cb62262f5469c36a67ab95b4765decdf84f97ac0152aa167beef57ff24cb5",
     ),
+    # Every failure detail of validate, all exit 4: link periods, no
+    # reversing generator and a non-positive measure; a reflection image
+    # other than M/2; two elliptic failures joined by "; "; reflections at
+    # odd order and a non-integer genus; an orientable kernel via a glide.
+    (
+        ("analyze", "(0;+;[2];{(2)})", "--order", "4", "--map", "x=2",
+         "--format", "json"),
+        4,
+        "e0e43576479fef1f88f5dd6deae9e68eb762b5f1804ce1bc68b9073632e88cf1",
+    ),
+    (
+        ("analyze", "(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,2;e=5;c=3",
+         "--format", "json"),
+        4,
+        "8304b6af68e27806602fa8e3ca8dbd58735484ef18aff37b58b63e0610f5680d",
+    ),
+    (
+        ("analyze", "(0;+;[2,7];{()})", "--order", "14", "--map", "x=1,1;e=5",
+         "--format", "json"),
+        4,
+        "b726ee6fb403ee161dd1ebf8f94a0a9e568202c2144cb31ac711b3b1f3642ba1",
+    ),
+    (
+        ("analyze", "(0;+;[2,7];{()})", "--order", "7", "--map", "x=0,2;e=5;c=3",
+         "--format", "json"),
+        4,
+        "d1e0d8915adcaa3bd0e483423d6433878726700f46bc2aa58c876ac05d0bccca",
+    ),
+    (
+        ("analyze", "(1;-;[];{})", "--order", "2", "--map", "d=1", "--format", "json"),
+        4,
+        "adf95d83207ff5d67b7053b03c23cb2d9b9bb15b6326e68e09e7ae54f8102294",
+    ),
 ]
 
 

@@ -156,6 +156,10 @@ def test_constructor_rejects_wrong_lengths():
         CyclicEpimorphism(EXAMPLE1_ODD, 14, (7, 2), (), (7,))
     with pytest.raises(ValueError, match="glide images"):
         CyclicEpimorphism(parse_signature("(1;-;[];{})"), 2, (), (), (), ())
+    with pytest.raises(ValueError, match="^expected 1 c images, got 2$"):
+        CyclicEpimorphism(EXAMPLE1_ODD, 14, (7, 2), (5,), (7, 7))
+    with pytest.raises(ValueError, match="^expected 0 a/b images, got 2$"):
+        CyclicEpimorphism(EXAMPLE1_ODD, 14, (7, 2), (5,), (7,), (1, 1))
 
 
 def test_images_reduced_mod_order():
@@ -234,6 +238,11 @@ def orientation_letters(epi):
         # With sign +, a and b preserve orientation; only the reflection
         # reverses.  Counting a and b as reversing would give size 1.
         ("(1;+;[];{()})", 2, "e=0;a=1;b=1", 2),
+        # Three or more reversing images r0, r1, ...: the pair sums reach all
+        # of Z_6, but without 2 r0 they reach only {0, 3}, and without the
+        # sums after r0 + r1 only {0, 2, 4}.
+        ("(1;+;[];{()()()})", 6, "e=0,0,0;c=1,5,2;a=0;b=0", 6),
+        ("(2;-;[];{()()})", 6, "e=0,0;c=1,5;d=2,5", 6),
     ],
 )
 def test_preserving_image_by_parity_known_answers(sig_text, order, images, size):
@@ -244,11 +253,9 @@ def test_preserving_image_by_parity_known_answers(sig_text, order, images, size)
     assert f"subgroup of size {size} of {order}" in detail
 
 
-@settings(max_examples=150)
-@given(st.data())
-def test_subgroup_checks_against_closure(data):
+def check_subgroups_against_closure(data, pool):
     # validate sizes subgroups with image_order; recount them by closure.
-    sig = data.draw(st.sampled_from(SIG_POOL))
+    sig = data.draw(st.sampled_from(pool))
     order = data.draw(st.integers(min_value=1, max_value=16))
     images = st.integers(min_value=0, max_value=order - 1)
     n_orient = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
@@ -262,7 +269,8 @@ def test_subgroup_checks_against_closure(data):
     )
     report = validate(epi)
 
-    size = len(subgroup_generated(order, epi.all_images()))
+    all_images = [*epi.x_images, *epi.e_images, *epi.c_images, *epi.orient_images]
+    size = len(subgroup_generated(order, all_images))
     surjective = check(report, "SURJECTIVE")
     assert surjective.passed == (size == order)
     assert surjective.detail == f"images generate a subgroup of size {size} of {order}"
@@ -276,6 +284,29 @@ def test_subgroup_checks_against_closure(data):
         f"orientation-preserving part maps onto a subgroup of size {size} of {order}"
         + ("" if size == order else "; kernel would be orientable")
     )
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_subgroup_checks_against_closure(data):
+    check_subgroups_against_closure(data, SIG_POOL)
+
+
+# SIG_POOL has at most two orientation-reversing generators, too few to
+# tell the preserving subgroup's generators from a subset of them.  These
+# have three or more; they stay out of SIG_POOL, whose brute-force census
+# test would slow down.
+MANY_REVERSING = [
+    parse_signature("(2;-;[];{()()})"),
+    parse_signature("(1;+;[];{()()()})"),
+    parse_signature("(3;-;[2];{()})"),
+]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_subgroup_checks_with_many_reversing_generators(data):
+    check_subgroups_against_closure(data, MANY_REVERSING)
 
 
 def test_validity_invariant_under_permuting_equal_periods():
