@@ -322,7 +322,10 @@ def write_census_jsonl(rows, fh):
     return count
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, default=vars)
+
+
 def to_json(obj):
     """The one JSON encoding of every record necfix prints: keys sorted, and
     each dataclass written as its fields (``vars``), tuples as arrays."""
-    return json.dumps(obj, sort_keys=True, default=vars)
+    return _ENCODER.encode(obj)

@@ -7,14 +7,22 @@ fixes disjoint simple closed curves (ovals), each lying on a Moebius band
 (twisted) or an annulus (untwisted) neighbourhood; their number and types
 depend on the connecting-generator images.  Everything here is closed form;
 the `oracle` module recomputes the same numbers by brute force.
+
+A report therefore depends on a valid map only through its signature, its
+order M and its connecting images e: Macbeath's formula gives the isolated
+fixed points of every power from the periods and M alone, and the paper's
+count gives the ovals and their twist types from each e_j and M.  Maps
+that agree on (signature, M, e) share one frozen report.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .epimorphism import image_order, validate
+from .signature import kernel_genus
 
 
 @dataclass(frozen=True)
@@ -84,23 +92,34 @@ def full_report(epi):
     """Complete fixed-point data of the action defined by a valid epi.
 
     The per-power table covers every i in [1, order); the involution block
-    is present exactly when the order is even.
+    is present exactly when the order is even.  The map is validated first;
+    valid maps with equal signature, order and connecting images may get
+    the same (frozen) report object.
     """
     report = validate(epi)
     if not report.valid:
         raise ValueError(f"invalid epimorphism (failed checks: {', '.join(report.failed())})")
-    sig = epi.sig
-    order = epi.modulus
-    genus = report.kernel_genus
+    return _report(epi.sig, epi.modulus, epi.e_images)
+
+
+@functools.lru_cache(maxsize=32)
+def _report(sig, order, e_images):
+    """The report of every valid map with this signature, order and e images.
+
+    Holds at most 32 reports of order - 1 power rows each.  A census meets
+    the maps of one signature together, so a few dozen entries catch
+    nearly every repeat.
+    """
     per_power = tuple(
         PowerFixedPoints(i, image_order(order, i), isolated_fixed_points(sig, order, i))
         for i in range(1, order)
     )
+    genus = kernel_genus(sig, order)
     involution = None
     if order % 2 == 0:
-        per_cycle = tuple(cycle_ovals(order, v) for v in epi.e_images)
+        per_cycle = tuple(cycle_ovals(order, v) for v in e_images)
         ovals = sum(c.oval_count for c in per_cycle)
-        fixed = isolated_fixed_points(sig, order, order // 2)
+        fixed = per_power[order // 2 - 1].isolated_count
         # Scherrer's bound |F| + 2|V| <= p + 2 for an involution of a genus-p surface.
         lhs = fixed + 2 * ovals
         rhs = genus + 2

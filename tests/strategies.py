@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from necfix import NecSignature, Sign, parse_signature
+from necfix import NecSignature, Sign, enumerate_epimorphisms, parse_signature
 
 period_values = st.integers(min_value=2, max_value=12)
 
@@ -32,4 +32,11 @@ SIG_POOL = [
     parse_signature("(1;-;[2,4];{})"),
     parse_signature("(2;-;[3];{})"),
     parse_signature("(1;+;[2];{()})"),
+]
+
+POOL_ORDERS = (2, 3, 4, 6, 8, 9, 12, 14)
+# Every valid map of the pool at these orders: 424 maps, 18 of them at odd
+# orders, whose reports have no involution.
+VALID_POOL_MAPS = [
+    epi for sig in SIG_POOL for order in POOL_ORDERS for epi in enumerate_epimorphisms(sig, order)
 ]

@@ -37,7 +37,7 @@ from necfix.census import (
 )
 from fractions import Fraction
 
-from strategies import SIG_POOL
+from strategies import POOL_ORDERS, SIG_POOL, VALID_POOL_MAPS
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2 = parse_signature("(0;+;[2,2,4,4];{()})")
@@ -300,15 +300,6 @@ def test_census_jsonl_trailer():
     assert {"signature", "modulus", "images", "kernel_genus", "report"} <= set(record)
 
 
-ENCODING_ORDERS = (2, 3, 4, 6, 8, 9, 12, 14)
-# Every valid map of the pool at these orders: 424 maps, 18 of them at odd
-# orders, whose reports have no involution.
-VALID_POOL_MAPS = [
-    epi for sig in SIG_POOL for order in ENCODING_ORDERS
-    for epi in enumerate_epimorphisms(sig, order)
-]
-
-
 def assert_encodes_as_asdict(obj):
     # The reference is the deep asdict copy that to_json does without.
     assert to_json(obj) == json.dumps(dataclasses.asdict(obj), sort_keys=True)
@@ -327,7 +318,7 @@ def test_to_json_matches_asdict_reference(data):
 
     # Random images: almost always an invalid map, with failed checks.
     sig = data.draw(st.sampled_from(SIG_POOL))
-    order = data.draw(st.sampled_from(ENCODING_ORDERS))
+    order = data.draw(st.sampled_from(POOL_ORDERS))
     images = st.integers(min_value=0, max_value=order - 1)
     n_orient = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
     drawn = CyclicEpimorphism(

@@ -1,14 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necfix import (
     full_report,
     isolated_fixed_points,
     parse_map_text,
     parse_signature,
+    run_census,
 )
-from necfix.fixedpoints import cycle_ovals, twists_field
+from necfix.fixedpoints import _report, cycle_ovals, twists_field
+from strategies import VALID_POOL_MAPS
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE1_EVEN = parse_signature("(0;+;[2,10];{()})")
@@ -152,6 +156,45 @@ def test_counts_do_not_depend_on_images():
     b = parse_map_text(EXAMPLE1_ODD, 14, "x=7,4;e=3")
     ra, rb = full_report(a), full_report(b)
     assert ra.per_power == rb.per_power
+
+
+def test_report_shared_by_maps_with_equal_key():
+    # Equal signature, order and e images: different x images, then
+    # different glide images.
+    pairs = [
+        (example2_epi(), parse_map_text(EXAMPLE2, 4, "x=2,2,3,1;e=0")),
+        (no_cycle_epi(), parse_map_text(no_cycle_epi().sig, 6, "x=2;d=2,3")),
+    ]
+    for a, b in pairs:
+        assert a != b
+        assert full_report(a) is full_report(b)
+    # Another e image changes the twist types, so it gets its own report.
+    other_e = full_report(parse_map_text(EXAMPLE2, 4, "x=2,2,1,1;e=2")).involution
+    assert [(c.oval_count, c.twisted) for c in other_e.per_cycle] == [(2, True)]
+    assert per_cycle(example2_epi()) == [(2, False)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VALID_POOL_MAPS))
+def test_shared_report_equals_uncached(epi):
+    assert full_report(epi) == _report.__wrapped__(epi.sig, epi.modulus, epi.e_images)
+
+
+def test_invalid_map_raises_when_its_key_is_cached():
+    full_report(example1_odd_epi())
+    invalid = parse_map_text(EXAMPLE1_ODD, 14, "x=7,3;e=5")
+    with pytest.raises(ValueError, match="SMOOTH-ELLIPTIC"):
+        full_report(invalid)
+
+
+def test_census_keeps_at_most_32_reports():
+    _report.cache_clear()
+    rows, _ = run_census(4, 16)
+    info = _report.cache_info()
+    assert 0 < info.currsize <= 32
+    # Rows of one signature arrive together, so most rows share a report.
+    assert info.hits + info.misses == len(rows)
+    assert info.misses < len(rows) / 4
 
 
 @pytest.mark.parametrize(
