@@ -10,6 +10,7 @@ are documented in the README together with the file formats.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import json
@@ -36,18 +37,7 @@ class CensusRow:
     canonical: bool
 
 
-def _period_multisets(divisors, budget):
-    """Nondecreasing period tuples with total cost sum(1 - 1/m) <= budget."""
-    yield ()
-    for idx, m in enumerate(divisors):
-        cost = 1 - Fraction(1, m)
-        if cost <= budget:
-            for rest in _period_multisets(divisors[idx:], budget - cost):
-                yield (m,) + rest
-
-
-def _signature_sort_key(sig):
-    return (sig.sign is Sign.MINUS, sig.genus, sig.empty_cycles, len(sig.periods), sig.periods)
+MAX_PERIODS = 64
 
 
 def enumerate_signatures(order, max_genus):
@@ -56,35 +46,45 @@ def enumerate_signatures(order, max_genus):
     Periods are restricted to divisors of the order (smoothness needs an
     element of that exact order in the cyclic target) and emitted sorted
     nondecreasing; only empty period cycles are generated.  Output order is
-    deterministic.
+    sign '+' before '-', then genus, cycle count, period count, and the
+    period tuple lexicographically; the search builds it in that order.
+
+    Raises ValueError when more than MAX_PERIODS periods fit under the
+    bound: the glide signature (32;-;[];{}) then lies in range too, and its
+    order**32 image tuples could not be enumerated.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     out = []
     if max_genus < 3:
         return out
-    bound = Fraction(max_genus - 2, order)
-    budget = bound + 2
+    budget = Fraction(max_genus - 2, order) + 2
     small = [m for m in range(1, math.isqrt(order) + 1) if order % m == 0]
     divisors = sorted({*small, *(order // m for m in small)} - {1})
-    for sign in (Sign.PLUS, Sign.MINUS):
-        alpha = 2 if sign is Sign.PLUS else 1
-        genus = 0 if sign is Sign.PLUS else 1
-        while alpha * genus <= budget:
-            cycles = 0
-            while alpha * genus + cycles <= budget:
-                remaining = budget - alpha * genus - cycles
-                for periods in _period_multisets(divisors, remaining):
-                    sig = NecSignature(genus, sign, periods, cycles)
-                    try:
-                        p = kernel_genus(sig, order)
-                    except ValueError:
-                        continue
-                    if 3 <= p <= max_genus:
-                        out.append(sig)
-                cycles += 1
-            genus += 1
-    out.sort(key=_signature_sort_key)
+    costs = [1 - Fraction(1, m) for m in divisors]
+    if divisors and budget >= (MAX_PERIODS + 1) * costs[0]:
+        raise ValueError(f"more than {MAX_PERIODS} periods fit under max genus {max_genus} "
+                         f"at order {order}; a census that large cannot be enumerated")
+    for sign, alpha, least_genus in ((Sign.PLUS, 2, 0), (Sign.MINUS, 1, 1)):
+        for genus in range(least_genus, math.floor(budget / alpha) + 1):
+            for cycles in range(math.floor(budget - alpha * genus) + 1):
+                # Period tuples one length at a time: each extends a tuple one
+                # shorter by a divisor no smaller than its last whose cost
+                # still fits (costs rise with the divisor, so bisect finds the
+                # last one).  Entries: (tuple, index of its last divisor, cost left).
+                level = [((), 0, budget - alpha * genus - cycles)]
+                while level:
+                    for periods, _, _ in level:
+                        sig = NecSignature(genus, sign, periods, cycles)
+                        try:
+                            p = kernel_genus(sig, order)
+                        except ValueError:
+                            continue
+                        if 3 <= p <= max_genus:
+                            out.append(sig)
+                    level = [(periods + (divisors[j],), j, left - costs[j])
+                             for periods, i, left in level
+                             for j in range(i, bisect.bisect_right(costs, left))]
     return out
 
 

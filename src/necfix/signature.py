@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,114 +76,82 @@ class NecSignature:
         return self.empty_cycles + len(self.nonempty_cycles)
 
 
-class _Cursor:
-    """Character cursor over signature text, skipping whitespace."""
-
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def here(self):
-        """1-based position of the next non-space character."""
-        self._skip_ws()
-        return self.pos + 1
-
-    def take(self, expected):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != expected:
-            raise ParseError(f"expected '{expected}'", self.pos + 1)
-        self.pos += 1
-
-    def integer(self, what):
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"expected {what}", start + 1)
-        return int(self.text[start : self.pos]), start + 1
-
-    def period(self, what="period"):
-        value, pos = self.integer(what)
-        if value < 2:
-            raise ParseError(f"{what} must be at least 2, got {value}", pos)
-        return value
+_TOKEN = re.compile(r"\d+|\S")
 
 
 def parse_signature(text):
     """Parse "(g;+;[m1,m2];{()()})" into a NecSignature.
 
-    The grammar is whitespace-insensitive.  "()^k" expands to k empty
-    cycles.  Raises ParseError, carrying the 1-based character position,
-    on both syntax errors and semantic ones (period below 2, sign '-'
-    with genus 0).
+    The grammar is whitespace-insensitive and its integers are runs of
+    decimal digits.  "()^k" expands to k empty cycles.  Raises ParseError,
+    carrying the 1-based character position, on both syntax errors and
+    semantic ones (period below 2, sign '-' with genus 0).
     """
-    cur = _Cursor(text)
-    cur.take("(")
-    genus, _ = cur.integer("genus")
-    cur.take(";")
-    sign_pos = cur.here()
-    ch = cur.peek()
-    if ch == "+":
-        sign = Sign.PLUS
-    elif ch == "-":
-        sign = Sign.MINUS
-    else:
+    # Tokens in reverse, so tokens[-1] is the next one; the end of the text
+    # is the token "" at len(text) + 1, which no reader consumes.
+    tokens = [(m[0], m.start() + 1) for m in _TOKEN.finditer(text)]
+    tokens.append(("", len(text) + 1))
+    tokens.reverse()
+
+    def take(expected):
+        token, pos = tokens[-1]
+        if token != expected:
+            raise ParseError(f"expected '{expected}'", pos)
+        tokens.pop()
+
+    def integer(what, least=0, name=None):
+        token, pos = tokens[-1]
+        if not token.isdecimal():
+            raise ParseError(f"expected {what}", pos)
+        tokens.pop()
+        value = int(token)
+        if value < least:
+            raise ParseError(f"{name or what} must be at least {least}, got {value}", pos)
+        return value
+
+    def period_list(opening, closing, what):
+        take(opening)
+        values = []
+        if tokens[-1][0] != closing:
+            values.append(integer(what, 2))
+            while tokens[-1][0] == ",":
+                tokens.pop()
+                values.append(integer(what, 2))
+        take(closing)
+        return tuple(values)
+
+    take("(")
+    genus = integer("genus")
+    take(";")
+    sign, sign_pos = tokens[-1]
+    if sign not in ("+", "-"):
         raise ParseError("expected sign '+' or '-'", sign_pos)
-    cur.take(ch)
-    cur.take(";")
-    cur.take("[")
-    periods = []
-    if cur.peek() != "]":
-        periods.append(cur.period())
-        while cur.peek() == ",":
-            cur.take(",")
-            periods.append(cur.period())
-    cur.take("]")
-    cur.take(";")
-    cur.take("{")
+    tokens.pop()
+    take(";")
+    periods = period_list("[", "]", "period")
+    take(";")
+    take("{")
     empty = 0
     nonempty = []
-    while cur.peek() == "(":
-        cur.take("(")
-        links = []
-        if cur.peek() != ")":
-            links.append(cur.period("link period"))
-            while cur.peek() == ",":
-                cur.take(",")
-                links.append(cur.period("link period"))
-        cur.take(")")
-        repeat = 1
-        if cur.peek() == "^":
-            caret_pos = cur.here()
-            cur.take("^")
+    while tokens[-1][0] == "(":
+        links = period_list("(", ")", "link period")
+        if tokens[-1][0] == "^":
+            caret_pos = tokens.pop()[1]
             if links:
                 raise ParseError("repeat count applies only to empty cycles '()'", caret_pos)
-            repeat, rpos = cur.integer("repeat count")
-            if repeat < 1:
-                raise ParseError(f"cycle repeat count must be at least 1, got {repeat}", rpos)
-        if links:
-            nonempty.append(tuple(links))
+            empty += integer("repeat count", 1, "cycle repeat count")
+        elif links:
+            nonempty.append(links)
         else:
-            empty += repeat
-    cur.take("}")
-    cur.take(")")
-    cur._skip_ws()
-    if cur.pos != len(text):
-        raise ParseError("unexpected trailing text", cur.pos + 1)
-    if sign is Sign.MINUS and genus == 0:
+            empty += 1
+    take("}")
+    take(")")
+    trailing, pos = tokens[-1]
+    if trailing:
+        raise ParseError("unexpected trailing text", pos)
+    if sign == "-" and genus == 0:
         raise ParseError("sign '-' requires genus at least 1", sign_pos)
-    return NecSignature(genus, sign, tuple(periods), empty, tuple(nonempty))
+    return NecSignature(genus, Sign(sign), periods, empty, tuple(nonempty))
 
 
 def format_signature(sig):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import necfix.census
 from necfix import (
     CyclicEpimorphism,
+    NecSignature,
     Sign,
     cross_check,
     enumerate_epimorphisms,
@@ -66,6 +67,58 @@ def test_enumerate_signatures_periods_divide_order():
 
 def test_enumerate_signatures_deterministic():
     assert enumerate_signatures(8, 9) == enumerate_signatures(8, 9)
+
+
+def _reference_signatures(order, max_genus):
+    # Every nondecreasing tuple of divisors, under loose bounds on the
+    # measure plus 2 (each genus unit and each cycle adds at least 1, each
+    # period at least 1/2), filtered by kernel_genus and sorted into the
+    # documented output order.
+    divisors = [m for m in range(2, order + 1) if order % m == 0]
+    budget = Fraction(max_genus - 2, order) + 2
+    found = []
+    for sign in Sign:
+        for genus in range(sign is Sign.MINUS, int(budget) + 1):
+            for cycles in range(int(budget - genus) + 1):
+                for r in range(int(2 * (budget - genus - cycles)) + 1):
+                    for periods in itertools.combinations_with_replacement(divisors, r):
+                        sig = NecSignature(genus, sign, periods, cycles)
+                        try:
+                            p = kernel_genus(sig, order)
+                        except ValueError:
+                            continue
+                        if 3 <= p <= max_genus:
+                            found.append(sig)
+    return sorted(
+        found,
+        key=lambda s: (s.sign is Sign.MINUS, s.genus, s.empty_cycles, len(s.periods), s.periods),
+    )
+
+
+@pytest.mark.parametrize("max_genus", [3, 6, 9, 12])
+def test_enumerate_signatures_matches_reference(max_genus):
+    for order in range(1, 25):
+        assert enumerate_signatures(order, max_genus) == _reference_signatures(order, max_genus)
+
+
+def test_enumerate_signatures_caps_the_period_count(monkeypatch):
+    # At order 2 every period costs 1/2, so bound 63 leaves room for 65
+    # periods; it also puts (32;-;[];{}) and its 2**32 image tuples in range.
+    with pytest.raises(ValueError, match="more than 64 periods"):
+        enumerate_signatures(2, 63)
+    # The cap is exact: at order 2, bound 4 fits 6 periods and bound 5 fits 7.
+    monkeypatch.setattr(necfix.census, "MAX_PERIODS", 6)
+    assert max(len(sig.periods) for sig in enumerate_signatures(2, 4)) == 6
+    with pytest.raises(ValueError, match="more than 6 periods"):
+        enumerate_signatures(2, 5)
+    # Order 1 has no divisors, so no period fits and the cap never applies.
+    assert NecSignature(38, Sign.MINUS) in enumerate_signatures(1, 40)
+
+
+def test_census_at_order_one():
+    rows, _ = run_census(1, 20)
+    assert len(rows) == 18
+    assert {row.epi.sig.periods for row in rows} == {()}
 
 
 def test_enumerate_epimorphisms_example1_single_class():

@@ -3,6 +3,7 @@ import json
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -79,6 +80,14 @@ def test_analyze_parse_error_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "position 7" in err
+
+
+def test_analyze_non_decimal_digit_is_a_parse_error(capsys):
+    # '²' is a digit to str.isdigit but not a decimal digit, so it is no integer.
+    code, out, err = run_cli(capsys, "analyze", "(²;+;[];{})", "--order", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: expected genus (position 2)\n"
 
 
 def test_enumerate_json(capsys):
@@ -293,6 +302,23 @@ def test_census_interrupted_run_keeps_existing_output(tmp_path, monkeypatch):
     path.write_bytes(b"#trailer,rows=0,sha256=old\n")
     with pytest.raises(KeyboardInterrupt):
         main(["census", "--order", "4", "--max-genus", "6", "--output", str(path)])
+    assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
+
+
+def test_census_with_too_many_periods_exits_2_at_once(tmp_path, capsys):
+    # Genus 100000 at order 4 leaves room for 50,003 periods; the search
+    # refuses before building a signature, and --output keeps its bytes.
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"#trailer,rows=0,sha256=old\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "census", "--order", "4", "--max-genus", "100000", "--output", str(path)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: more than 64 periods fit under max genus 100000")
     assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
 
 

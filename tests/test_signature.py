@@ -46,26 +46,41 @@ def test_parse_link_periods():
     assert sig.empty_cycles == 1
 
 
+# (text, 1-based position counting whitespace, message).  The explicit ids
+# keep the text-position form that the first ten cases have always had.
+PARSE_ERRORS = [
+    ("", 1, "expected '('"),
+    ("0;+;[];{})", 1, "expected '('"),
+    ("(0;*;[];{})", 4, "expected sign '+' or '-'"),
+    ("(0;+;[1];{})", 7, "period must be at least 2, got 1"),
+    ("(0;-;[];{})", 4, "sign '-' requires genus at least 1"),
+    ("(0;+;[2,];{})", 9, "expected period"),
+    ("(0;+;[2];{()}", 14, "expected ')'"),
+    ("(0;+;[2];{()})x", 15, "unexpected trailing text"),
+    ("(0;+;[2];{()^0})", 14, "cycle repeat count must be at least 1, got 0"),
+    ("(0;+;[2];{(2)^2})", 14, "repeat count applies only to empty cycles '()'"),
+    ("(1 0;+;[];{})", 4, "expected ';'"),
+    ("(;+;[];{})", 2, "expected genus"),
+    ("(0;+;[01];{})", 7, "period must be at least 2, got 1"),
+    ("(0;+;[];{()^})", 13, "expected repeat count"),
+    ("(0;+;[];{(1)})", 11, "link period must be at least 2, got 1"),
+    ("(0;+;[];{(2,)})", 13, "expected link period"),
+    ("(0;\t+;[2];\n{()}x)", 16, "expected ')'"),
+    ("(0;+;[2,\n\t1];{})", 11, "period must be at least 2, got 1"),
+    ("(0;+;[];{})   x", 15, "unexpected trailing text"),
+    ("   ", 4, "expected '('"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, position",
-    [
-        ("", 1),
-        ("0;+;[];{})", 1),
-        ("(0;*;[];{})", 4),
-        ("(0;+;[1];{})", 7),
-        ("(0;-;[];{})", 4),
-        ("(0;+;[2,];{})", 9),
-        ("(0;+;[2];{()}", 14),
-        ("(0;+;[2];{()})x", 15),
-        ("(0;+;[2];{()^0})", 14),
-        ("(0;+;[2];{(2)^2})", 14),
-    ],
+    "text, position, message",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in PARSE_ERRORS],
 )
-def test_parse_errors_carry_positions(text, position):
+def test_parse_errors_carry_positions(text, position, message):
     with pytest.raises(ParseError) as err:
         parse_signature(text)
     assert err.value.position == position
-    assert f"position {position}" in str(err.value)
+    assert str(err.value) == f"{message} (position {position})"
 
 
 def test_constructor_rejects_bad_data():
