@@ -1,11 +1,11 @@
 """Exhaustive enumeration of signatures and smooth epimorphisms.
 
-The search space is finite once the group order M and a genus bound are
-fixed: the kernel genus p = M * measure + 2 caps the normalized measure at
-(max_genus - 2)/M, which in turn bounds the quotient genus, the cycle
-count and the number of periods (each period contributes at least 1/2),
-while smoothness restricts every period to a divisor of M.  Those bounds
-are documented in the README together with the file formats.
+The search space is finite once the group order M and a genus bound G are
+fixed.  Smoothness restricts every period m to a divisor of M, so the
+kernel genus p = 2 + M(alpha*g + k - 2) + sum(M - M/m) is an integer, and
+p <= G bounds the quotient genus, the cycle count and the number of
+periods (each costs the integer M - M/m >= M/2).  Those bounds are
+documented in the README together with the file formats.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .epimorphism import CyclicEpimorphism, format_map_text, validate
@@ -43,14 +42,16 @@ MAX_PERIODS = 64
 def enumerate_signatures(order, max_genus):
     """All signatures whose kernel genus at this order lands in [3, max_genus].
 
-    Periods are restricted to divisors of the order (smoothness needs an
-    element of that exact order in the cyclic target) and emitted sorted
+    Periods are divisors of the order (smoothness needs an element of that
+    exact order in the cyclic target), so each period m adds the integer
+    order - order/m to the kernel genus.  They are emitted sorted
     nondecreasing; only empty period cycles are generated.  Output order is
     sign '+' before '-', then genus, cycle count, period count, and the
     period tuple lexicographically; the search builds it in that order.
 
-    Raises ValueError when more than MAX_PERIODS periods fit under the
-    bound: the glide signature (32;-;[];{}) then lies in range too, and its
+    Raises ValueError when more than MAX_PERIODS periods fit under the bound,
+    (max_genus - 2) + 2*order >= (MAX_PERIODS + 1)*(order - order/m_1):
+    the glide signature (32;-;[];{}) then lies in range too, and its
     order**32 image tuples could not be enumerated.
     """
     if order < 1:
@@ -58,30 +59,25 @@ def enumerate_signatures(order, max_genus):
     out = []
     if max_genus < 3:
         return out
-    budget = Fraction(max_genus - 2, order) + 2
     small = [m for m in range(1, math.isqrt(order) + 1) if order % m == 0]
     divisors = sorted({*small, *(order // m for m in small)} - {1})
-    costs = [1 - Fraction(1, m) for m in divisors]
-    if divisors and budget >= (MAX_PERIODS + 1) * costs[0]:
+    costs = [order - order // m for m in divisors]
+    if divisors and max_genus - 2 + 2 * order >= (MAX_PERIODS + 1) * costs[0]:
         raise ValueError(f"more than {MAX_PERIODS} periods fit under max genus {max_genus} "
                          f"at order {order}; a census that large cannot be enumerated")
+    top = 2 + (max_genus - 2) // order
     for sign, alpha, least_genus in ((Sign.PLUS, 2, 0), (Sign.MINUS, 1, 1)):
-        for genus in range(least_genus, math.floor(budget / alpha) + 1):
-            for cycles in range(math.floor(budget - alpha * genus) + 1):
-                # Period tuples one length at a time: each extends a tuple one
-                # shorter by a divisor no smaller than its last whose cost
-                # still fits (costs rise with the divisor, so bisect finds the
-                # last one).  Entries: (tuple, index of its last divisor, cost left).
-                level = [((), 0, budget - alpha * genus - cycles)]
+        for genus in range(least_genus, top // alpha + 1):
+            for cycles in range(top - alpha * genus + 1):
+                # Period tuples one length at a time.  Entries: (tuple, index
+                # of its last divisor, left = max_genus - p).  Each extends a
+                # tuple one shorter by a divisor no smaller than its last whose
+                # cost M - M/m still fits (costs rise with m, so bisect finds
+                # the last one), so left >= 0; it is kept if p >= 3.
+                level = [((), 0, max_genus - 2 - order * (alpha * genus + cycles - 2))]
                 while level:
-                    for periods, _, _ in level:
-                        sig = NecSignature(genus, sign, periods, cycles)
-                        try:
-                            p = kernel_genus(sig, order)
-                        except ValueError:
-                            continue
-                        if 3 <= p <= max_genus:
-                            out.append(sig)
+                    out += [NecSignature(genus, sign, periods, cycles)
+                            for periods, _, left in level if left <= max_genus - 3]
                     level = [(periods + (divisors[j],), j, left - costs[j])
                              for periods, i, left in level
                              for j in range(i, bisect.bisect_right(costs, left))]

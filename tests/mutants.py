@@ -38,6 +38,9 @@ MUTANTS = [
     ("census.py", "(MAX_PERIODS + 1) * costs[0]", "MAX_PERIODS * costs[0]", "test_census.py"),
     ("census.py", "(MAX_PERIODS + 1) * costs[0]", "(MAX_PERIODS + 2) * costs[0]",
      "test_census.py"),
+    # Signature search in integers: p >= 3, and the genus left at the start.
+    ("census.py", "left <= max_genus - 3", "left <= max_genus - 2", "test_census.py"),
+    ("census.py", "max_genus - 2 - order * (", "max_genus - 1 - order * (", "test_census.py"),
     # validate: the preserving subgroup and the sizes of subgroups.
     ("epimorphism.py", "*(r0 + r for r in reversing)", "*(r0 + r for r in reversing[:2])",
      "test_epimorphism.py"),
