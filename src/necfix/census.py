@@ -48,6 +48,8 @@ def enumerate_signatures(order, max_genus):
     nondecreasing; only empty period cycles are generated.  Output order is
     sign '+' before '-', then genus, cycle count, period count, and the
     period tuple lexicographically; the search builds it in that order.
+    At an odd order no signature has a period cycle: a reflection must map
+    to an element of order 2, which an odd cyclic group lacks.
 
     Raises ValueError when more than MAX_PERIODS periods fit under the bound,
     (max_genus - 2) + 2*order >= (MAX_PERIODS + 1)*(order - order/m_1):
@@ -68,7 +70,8 @@ def enumerate_signatures(order, max_genus):
     top = 2 + (max_genus - 2) // order
     for sign, alpha, least_genus in ((Sign.PLUS, 2, 0), (Sign.MINUS, 1, 1)):
         for genus in range(least_genus, top // alpha + 1):
-            for cycles in range(top - alpha * genus + 1):
+            # A reflection needs an involution image, so odd orders take no cycles.
+            for cycles in range(top - alpha * genus + 1 if order % 2 == 0 else 1):
                 # Period tuples one length at a time.  Entries: (tuple, index
                 # of its last divisor, left = max_genus - p).  Each extends a
                 # tuple one shorter by a divisor no smaller than its last whose
@@ -135,10 +138,7 @@ def enumerate_epimorphisms(sig, order, up_to_aut=False):
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    epis = list(_iter_epimorphisms(sig, order))
-    if up_to_aut:
-        epis = [e for e in epis if is_canonical(e)]
-    return epis
+    return [e for e in _iter_epimorphisms(sig, order) if not up_to_aut or is_canonical(e)]
 
 
 def shadow_key(epi):

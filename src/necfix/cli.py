@@ -116,24 +116,19 @@ def _cmd_analyze(args):
     sig = parse_signature(args.signature)
     epi = parse_map_text(sig, args.order, args.map_text)
     validation = validate(epi)
-    if not validation.valid:
-        if args.fmt == "json":
-            print(to_json({"validation": validation, "report": None}))
-        else:
-            # csv stdout carries rows only; the check table is a diagnostic.
-            _print_validation(validation, sys.stderr if args.fmt == "csv" else None)
-        return EXIT_INVALID
-    report = full_report(epi)
+    report = full_report(epi) if validation.valid else None
     if args.fmt == "json":
         print(to_json({"validation": validation, "report": report}))
-    elif args.fmt == "csv":
+    elif args.fmt == "csv" and report:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         writer.writerow(census_row_csv(CensusRow(epi, report, is_canonical(epi))))
     else:
-        _print_validation(validation)
-        _print_report_table(format_signature(sig), args.order, report)
-    return EXIT_OK
+        # csv stdout carries rows only; the check table is a diagnostic.
+        _print_validation(validation, sys.stderr if args.fmt == "csv" else None)
+        if report:
+            _print_report_table(format_signature(sig), args.order, report)
+    return EXIT_OK if report else EXIT_INVALID
 
 
 def _cmd_enumerate(args):
@@ -211,21 +206,15 @@ def _cmd_verify(args):
         if args.signature or args.map_text:
             raise ValueError("--all-v sweeps every v at --order; drop the signature and --map")
         transcript = involution_sweep(args.order)
-        if args.fmt == "json":
-            print(to_json(transcript))
-        else:
-            print(f"order {args.order}: swept v=0..{args.order - 1}, "
-                  f"agreement={transcript.agreement}")
+        label = f"order {args.order}: swept v=0..{args.order - 1},"
     else:
         if not args.signature:
             raise ValueError("verify needs a signature (or --all-v)")
         sig = parse_signature(args.signature)
-        epi = parse_map_text(sig, args.order, args.map_text)
-        transcript = cross_check(epi)
-        if args.fmt == "json":
-            print(to_json(transcript))
-        else:
-            print(f"{format_signature(sig)} M={args.order}: agreement={transcript.agreement}")
+        transcript = cross_check(parse_map_text(sig, args.order, args.map_text))
+        label = f"{format_signature(sig)} M={args.order}:"
+    print(to_json(transcript) if args.fmt == "json"
+          else f"{label} agreement={transcript.agreement}")
     if not transcript.agreement:
         print(f"first disagreement: {transcript.disagreements[0]}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -66,6 +66,11 @@ class ValidationReport:
     def failed(self):
         return [c.name for c in self.checks if not c.passed]
 
+    def require(self):
+        """Raise ValueError naming the failed checks unless the map is valid."""
+        if not self.valid:
+            raise ValueError(f"invalid epimorphism (failed checks: {', '.join(self.failed())})")
+
 
 def image_order(modulus, *exponents):
     """Order of the subgroup of Z_modulus generated by the exponents (of t^u for one u)."""
@@ -261,17 +266,11 @@ def parse_map_text(sig, order, text):
 
 def format_map_text(epi):
     """Compact text form of the images; inverse of parse_map_text."""
-    parts = []
-    if epi.x_images:
-        parts.append("x=" + ",".join(map(str, epi.x_images)))
-    if epi.e_images:
-        parts.append("e=" + ",".join(map(str, epi.e_images)))
-    if epi.c_images:
-        parts.append("c=" + ",".join(map(str, epi.c_images)))
-    if epi.orient_images:
-        if epi.sig.sign is Sign.PLUS:
-            parts.append("a=" + ",".join(map(str, epi.orient_images[0::2])))
-            parts.append("b=" + ",".join(map(str, epi.orient_images[1::2])))
-        else:
-            parts.append("d=" + ",".join(map(str, epi.orient_images)))
-    return ";".join(parts)
+    orient = epi.orient_images
+    if epi.sig.sign is Sign.PLUS:
+        genus_sections = [("a", orient[0::2]), ("b", orient[1::2])]
+    else:
+        genus_sections = [("d", orient)]
+    sections = [("x", epi.x_images), ("e", epi.e_images), ("c", epi.c_images), *genus_sections]
+    return ";".join(f"{key}=" + ",".join(map(str, images))
+                    for key, images in sections if images)

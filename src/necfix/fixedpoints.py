@@ -96,9 +96,7 @@ def full_report(epi):
     valid maps with equal signature, order and connecting images may get
     the same (frozen) report object.
     """
-    report = validate(epi)
-    if not report.valid:
-        raise ValueError(f"invalid epimorphism (failed checks: {', '.join(report.failed())})")
+    validate(epi).require()
     return _report(epi.sig, epi.modulus, epi.e_images)
 
 

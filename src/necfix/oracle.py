@@ -152,9 +152,7 @@ def _compare_cycle(order, v, label, disagreements):
 
 def cross_check(epi):
     """Run every oracle path against the closed-form counts for one action."""
-    report = validate(epi)
-    if not report.valid:
-        raise ValueError(f"invalid epimorphism (failed checks: {', '.join(report.failed())})")
+    validate(epi).require()
     sig = epi.sig
     order = epi.modulus
     disagreements = []

@@ -64,6 +64,14 @@ MUTANTS = [
      "    def __post_init__(self):\n"
      "        object.__setattr__(self, 'note', None)\n",
      "test_census.py"),
+    # Odd orders take no period cycles.
+    ("census.py", "if order % 2 == 0 else 1)", "if order % 2 == 0 else 2)", "test_census.py"),
+    # Each user-facing result is assembled once: analyze's exit code, the
+    # map text's empty sections and the invalid-map error.
+    ("cli.py", "return EXIT_OK if report else EXIT_INVALID", "return EXIT_OK", "test_cli.py"),
+    ("epimorphism.py", "for key, images in sections if images)",
+     "for key, images in sections)", "test_cli.py"),
+    ("epimorphism.py", "if not self.valid:", "if False:", "test_fixedpoints.py"),
     # Parser: the lower bound on the first period of a list.
     ("signature.py", "values.append(integer(what, 2))\n            while",
      "values.append(integer(what))\n            while", "test_signature.py"),

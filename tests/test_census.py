@@ -80,7 +80,7 @@ def _reference_signatures(order, max_genus):
     found = []
     for sign in Sign:
         for genus in range(sign is Sign.MINUS, int(budget) + 1):
-            for cycles in range(int(budget - genus) + 1):
+            for cycles in range(int(budget - genus) + 1 if order % 2 == 0 else 1):
                 for r in range(int(2 * (budget - genus - cycles)) + 1):
                     for periods in itertools.combinations_with_replacement(divisors, r):
                         sig = NecSignature(genus, sign, periods, cycles)
@@ -120,6 +120,11 @@ def test_census_at_order_one():
     rows, _ = run_census(1, 20)
     assert len(rows) == 18
     assert {row.epi.sig.periods for row in rows} == {()}
+    # Odd orders take no period cycles: (g;+;[];{}) for g = 2..1000 and
+    # (g;-;[];{}) for g = 3..2000, not every (g, k) with alpha*g + k <= 2000.
+    assert len(enumerate_signatures(1, 2000)) == 999 + 1998
+    for order in range(1, 26, 2):
+        assert not any(sig.empty_cycles for sig in enumerate_signatures(order, 12))
 
 
 def test_enumerate_epimorphisms_example1_single_class():

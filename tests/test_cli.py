@@ -61,7 +61,16 @@ def test_analyze_invalid_map_exits_4(capsys):
         capsys, "analyze", "(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,3;e=4"
     )
     assert code == 4
-    assert "SMOOTH-ELLIPTIC" in out
+    assert err == ""
+    # The six checks and nothing else: no report table follows them.
+    assert [line[:4] + " " + line.split()[1] for line in out.splitlines()] == [
+        "ok   REFLECTIONS",
+        "FAIL SMOOTH-ELLIPTIC",
+        "ok   LONG-RELATION",
+        "ok   SURJECTIVE",
+        "ok   KERNEL-NON-ORIENTABLE",
+        "ok   GENUS",
+    ]
 
 
 def test_analyze_csv_invalid_map_keeps_stdout_empty(capsys):
@@ -163,6 +172,19 @@ def test_verify_single_map(capsys):
     payload = json.loads(out)
     assert payload["agreement"] is True
     assert payload["per_cycle"][0]["delta"] == 7
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("--order", "28", "--all-v"), "order 28: swept v=0..27, agreement=True"),
+        (("(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,2;e=5"),
+         "(0;+;[2,7];{()}) M=14: agreement=True"),
+    ],
+    ids=["all-v", "single-map"],
+)
+def test_verify_table_line(capsys, argv, line):
+    assert run_cli(capsys, "verify", *argv) == (0, line + "\n", "")
 
 
 def test_verify_invalid_map_exits_2(capsys):
