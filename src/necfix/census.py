@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -102,7 +104,7 @@ def _iter_epimorphisms(sig, order):
     weights = (1,) * (r + cycles) + (glide,) * n_orient
     c_fixed = (order // 2,) * cycles
     for images in product(*x_slots, *[range(order)] * (cycles + n_orient)):
-        if sum(w * v for w, v in zip(weights, images)) % order:
+        if sum(map(operator.mul, weights, images)) % order:
             continue
         xs, es, orient = images[:r], images[r : r + cycles], images[r + cycles :]
         epi = CyclicEpimorphism(sig, order, xs, es, c_fixed, orient)
@@ -110,10 +112,13 @@ def _iter_epimorphisms(sig, order):
             yield epi
 
 
+@functools.lru_cache(maxsize=64)
 def units(order):
+    """The units of Z_order in increasing order; every census row asks
+    is_canonical for them, so the 64 most recent orders are kept."""
     if order == 1:
-        return [1]
-    return [u for u in range(1, order) if math.gcd(u, order) == 1]
+        return (1,)
+    return tuple(u for u in range(1, order) if math.gcd(u, order) == 1)
 
 
 def is_canonical(epi):
@@ -146,13 +151,13 @@ def shadow_key(epi):
     cycles and genus generators; a dedup aid for downstream tools, not an
     equivalence the census itself quotients by."""
     sig = epi.sig
-    xs = ",".join(f"{m}:{u}" for m, u in sorted(zip(sig.periods, epi.x_images)))
-    es = ",".join(str(v) for v in sorted(epi.e_images))
+    xs = ",".join([f"{m}:{u}" for m, u in sorted(zip(sig.periods, epi.x_images))])
+    es = ",".join(map(str, sorted(epi.e_images)))
     if sig.sign is Sign.PLUS:
         pairs = sorted(zip(epi.orient_images[0::2], epi.orient_images[1::2]))
-        orient = ",".join(f"{a}.{b}" for a, b in pairs)
+        orient = ",".join([f"{a}.{b}" for a, b in pairs])
     else:
-        orient = ",".join(str(w) for w in sorted(epi.orient_images))
+        orient = ",".join(map(str, sorted(epi.orient_images)))
     return f"M{epi.modulus}|g{sig.genus}{sig.sign.value}|x[{xs}]|e[{es}]|o[{orient}]"
 
 
@@ -307,11 +312,20 @@ def write_census_csv(rows, fh):
 
 
 def write_census_jsonl(rows, fh):
-    """Stream rows as JSON lines, then a trailer object (same checksum idea)."""
+    """Stream rows as JSON lines, then a trailer object (same checksum idea).
+
+    Each line is to_json of the row's record.  Rows share reports, so the
+    record is encoded with a null report and the shared report's text is
+    spliced in: '"report": null' can only be that key, since the encoder
+    escapes every quote inside a string value.
+    """
     stream = _HashingStream(fh)
     count = 0
     for row in rows:
-        stream.write(to_json(census_row_record(row)) + "\n")
+        head, _, tail = to_json({**census_row_record(row), "report": None}).partition(
+            '"report": null'
+        )
+        stream.write(f'{head}"report": {_report_json(row.report)}{tail}\n')
         count += 1
     trailer = {"rows": count, "sha256": stream.digest.hexdigest(), "type": "trailer"}
     fh.write(to_json(trailer) + "\n")
@@ -325,3 +339,9 @@ def to_json(obj):
     """The one JSON encoding of every record necfix prints: keys sorted, and
     each dataclass written as its fields (``vars``), tuples as arrays."""
     return _ENCODER.encode(obj)
+
+
+@functools.lru_cache(maxsize=32)
+def _report_json(report):
+    """to_json of a fixed-point report, kept for the 32 most recent ones."""
+    return to_json(report)

@@ -11,6 +11,7 @@ assignment can say why it fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,9 +121,47 @@ def validate(epi):
                              its image is generated by the preserving images
                              and r0 + r for each reversing image r.
       GENUS                  the kernel genus is an integer at least 3.
+
+    Only the values the checks read are computed here; `_verdict` turns
+    them into the report, so maps with equal values share one.
     """
     sig = epi.sig
     order = epi.modulus
+    bad = tuple(
+        (u, n, m) for m, u in zip(sig.periods, epi.x_images) if (n := image_order(order, u)) != m
+    )
+    # The one orientation split: glides reverse orientation, a/b preserve it.
+    if sig.sign is Sign.MINUS:
+        glides, handles = epi.orient_images, ()
+    else:
+        glides, handles = (), epi.orient_images
+    total = (sum(epi.x_images) + sum(epi.e_images) + 2 * sum(glides)) % order
+    size = image_order(order, *epi.x_images, *epi.e_images, *epi.c_images, *epi.orient_images)
+    reversing = (*epi.c_images, *glides)
+    plus_size = None
+    if reversing:
+        # The orientation-preserving subgroup is generated by the preserving
+        # generators and the products of two reversing ones.  The sums
+        # r0 + r over the reversing images r generate every such product,
+        # since ri + rj = (r0 + ri) + (r0 + rj) - 2 r0 and 2 r0 = r0 + r0 is
+        # one of them: linearly many generators instead of all pairs.
+        r0 = reversing[0]
+        plus_size = image_order(
+            order, *epi.x_images, *epi.e_images, *handles, *(r0 + r for r in reversing)
+        )
+    return _verdict(sig, order, epi.c_images, bad, total, size, plus_size)
+
+
+@functools.lru_cache(maxsize=256)
+def _verdict(sig, order, c_images, bad, total, size, plus_size):
+    """The report of every map whose checks come out with these values.
+
+    `bad` lists (image, its order, period) for each x image of the wrong
+    order, `total` is the long-relation sum, `size` the order of the image,
+    and `plus_size` that of the preserving part (None when no generator
+    reverses orientation).  Maps of one signature and order that agree on
+    them share one frozen report; at most 256 are kept.
+    """
     half = order // 2
     if sig.nonempty_cycles:
         reflections = False, (
@@ -133,42 +172,17 @@ def validate(epi):
         reflections = True, "no reflections"
     elif order % 2:
         reflections = False, f"reflections need an order-2 image but {order} is odd"
-    elif all(c == half for c in epi.c_images):
+    elif all(c == half for c in c_images):
         reflections = True, f"all reflection images equal {half}"
     else:
-        reflections = False, f"reflection images {list(epi.c_images)} must all equal {half}"
+        reflections = False, f"reflection images {list(c_images)} must all equal {half}"
 
-    bad = [
-        f"image {u} has order {n}, period is {m}"
-        for m, u in zip(sig.periods, epi.x_images)
-        if (n := image_order(order, u)) != m
-    ]
-
-    # The one orientation split: glides reverse orientation, a/b preserve it.
-    if sig.sign is Sign.MINUS:
-        glides, handles = epi.orient_images, ()
-    else:
-        glides, handles = (), epi.orient_images
-    total = (sum(epi.x_images) + sum(epi.e_images) + 2 * sum(glides)) % order
-
-    size = image_order(order, *epi.x_images, *epi.e_images, *epi.c_images, *epi.orient_images)
-
-    reversing = (*epi.c_images, *glides)
-    if not reversing:
+    if plus_size is None:
         non_orientable = False, (
             "every generator preserves orientation, so the kernel is an "
             "orientable surface group"
         )
     else:
-        # The orientation-preserving subgroup is generated by the preserving
-        # generators and the products of two reversing ones.  The sums
-        # r0 + r over the reversing images r generate every such product,
-        # since ri + rj = (r0 + ri) + (r0 + rj) - 2 r0 and 2 r0 = r0 + r0 is
-        # one of them: linearly many generators instead of all pairs.
-        r0 = reversing[0]
-        plus_size = image_order(
-            order, *epi.x_images, *epi.e_images, *handles, *(r0 + r for r in reversing)
-        )
         non_orientable = plus_size == order, (
             f"orientation-preserving part maps onto a subgroup of size {plus_size} of {order}"
             + ("" if plus_size == order else "; kernel would be orientable")
@@ -188,7 +202,8 @@ def validate(epi):
         CheckResult(
             "SMOOTH-ELLIPTIC",
             not bad,
-            "; ".join(bad) or "every elliptic image has the full period order",
+            "; ".join(f"image {u} has order {n}, period is {m}" for u, n, m in bad)
+            or "every elliptic image has the full period order",
         ),
         CheckResult(
             "LONG-RELATION", total == 0, f"defining product maps to {total} (mod {order})"

@@ -154,6 +154,7 @@ def parse_signature(text):
     return NecSignature(genus, Sign(sign), periods, empty, tuple(nonempty))
 
 
+@functools.lru_cache(maxsize=4096)
 def format_signature(sig):
     """Canonical text form; parse_signature(format_signature(s)) == s."""
     cycles = "".join("(" + ",".join(str(n) for n in c) + ")" for c in sig.nonempty_cycles)
@@ -188,8 +189,7 @@ def kernel_genus(sig, order):
     non-orientable surface of genus p has normalized measure p - 2, so
     p = order * measure + 2.  Raises ValueError when the measure is not
     positive or when p fails to be an integer (then no torsion-free kernel
-    of that index exists).  Results are cached per (signature, order):
-    a census asks once for every candidate assignment.
+    of that index exists).  Results are cached per (signature, order).
     """
     measure = orbifold_measure(sig)
     if measure <= 0:

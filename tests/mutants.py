@@ -72,6 +72,26 @@ MUTANTS = [
     ("epimorphism.py", "for key, images in sections if images)",
      "for key, images in sections)", "test_cli.py"),
     ("epimorphism.py", "if not self.valid:", "if False:", "test_fixedpoints.py"),
+    # Shared verdicts and report text: each cache key holds every value its
+    # result depends on, the spliced line keeps its tail, and the long
+    # relation weighs each image.
+    ("epimorphism.py",
+     "@functools.lru_cache(maxsize=256)\n"
+     "def _verdict(sig, order, c_images, bad, total, size, plus_size):\n",
+     "def _verdict(sig, order, c_images, bad, total, size, plus_size, _first={}):\n"
+     "    return _first.setdefault(\n"
+     "        (sig, order), _build(sig, order, c_images, bad, total, size, plus_size))\n\n\n"
+     "def _build(sig, order, c_images, bad, total, size, plus_size):\n",
+     "test_epimorphism.py"),
+    ("census.py",
+     "@functools.lru_cache(maxsize=32)\ndef _report_json(report):\n",
+     "def _report_json(report, _first={}):\n"
+     "    return _first.setdefault(None, _encode(report))\n\n\n"
+     "def _encode(report):\n",
+     "test_census.py"),
+    ("census.py", "{_report_json(row.report)}{tail}\\n'", "{_report_json(row.report)}\\n'",
+     "test_census.py"),
+    ("census.py", "sum(map(operator.mul, weights, images))", "sum(images)", "test_census.py"),
     # Parser: the lower bound on the first period of a list.
     ("signature.py", "values.append(integer(what, 2))\n            while",
      "values.append(integer(what))\n            while", "test_signature.py"),

@@ -1,8 +1,16 @@
-"""Shared hypothesis strategies."""
+"""Shared hypothesis strategies and brute-force map sets."""
+
+import itertools
 
 from hypothesis import strategies as st
 
-from necfix import NecSignature, Sign, enumerate_epimorphisms, parse_signature
+from necfix import (
+    CyclicEpimorphism,
+    NecSignature,
+    Sign,
+    enumerate_epimorphisms,
+    parse_signature,
+)
 
 period_values = st.integers(min_value=2, max_value=12)
 
@@ -40,3 +48,21 @@ POOL_ORDERS = (2, 3, 4, 6, 8, 9, 12, 14)
 VALID_POOL_MAPS = [
     epi for sig in SIG_POOL for order in POOL_ORDERS for epi in enumerate_epimorphisms(sig, order)
 ]
+
+
+def image_slots(sig):
+    """Number of generator images of a map of sig, reflection images included."""
+    n_orient = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
+    return len(sig.periods) + 2 * sig.empty_cycles + n_orient
+
+
+def all_assignments(sig, order):
+    """Every map of sig into Z_order: each image over Z_M, reflection images
+    included, in lexicographic order of the image tuple."""
+    k = sig.empty_cycles
+    r = len(sig.periods)
+    for images in itertools.product(range(order), repeat=image_slots(sig)):
+        yield CyclicEpimorphism(
+            sig, order, images[:r], images[r : r + k], images[r + k : r + 2 * k],
+            images[r + 2 * k :],
+        )

@@ -38,7 +38,7 @@ from necfix.census import (
 )
 from fractions import Fraction
 
-from strategies import POOL_ORDERS, SIG_POOL, VALID_POOL_MAPS
+from strategies import POOL_ORDERS, SIG_POOL, VALID_POOL_MAPS, all_assignments, image_slots
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2 = parse_signature("(0;+;[2,2,4,4];{()})")
@@ -178,17 +178,7 @@ BRUTE_FORCE_SIGS = [
 
 def _brute_force_epimorphisms(sig, order):
     # Every image over Z_M, reflection images included, kept by validate alone.
-    k = sig.empty_cycles
-    n_orient = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
-    r = len(sig.periods)
-    found = []
-    for images in itertools.product(range(order), repeat=r + 2 * k + n_orient):
-        epi = CyclicEpimorphism(
-            sig, order, images[:r], images[r : r + k], images[r + k : r + 2 * k],
-            images[r + 2 * k :],
-        )
-        if validate(epi).valid:
-            found.append(epi)
+    found = [epi for epi in all_assignments(sig, order) if validate(epi).valid]
     return sorted(found, key=lambda e: (e.x_images, e.e_images, e.orient_images))
 
 
@@ -202,11 +192,8 @@ def test_enumeration_matches_brute_force(monkeypatch):
     monkeypatch.setattr(necfix.census, "validate", recording_validate)
     mismatches = []
     for sig in BRUTE_FORCE_SIGS:
-        slots = len(sig.periods) + 2 * sig.empty_cycles + sig.genus * (
-            2 if sig.sign is Sign.PLUS else 1
-        )
         for order in range(1, 9):
-            if order**slots > BRUTE_FORCE_CAP:
+            if order ** image_slots(sig) > BRUTE_FORCE_CAP:
                 continue
             if enumerate_epimorphisms(sig, order) != _brute_force_epimorphisms(sig, order):
                 mismatches.append((format_signature(sig), order))
@@ -357,6 +344,18 @@ def test_census_jsonl_trailer():
     assert trailer["rows"] == len(lines) - 1
     record = json.loads(lines[0])
     assert {"signature", "modulus", "images", "kernel_genus", "report"} <= set(record)
+
+
+@pytest.mark.parametrize("order, max_genus", [(4, 10), (6, 8)])
+def test_census_jsonl_lines_equal_the_one_encoder(order, max_genus):
+    # Each line splices a shared report's text into its row's record; it
+    # must read exactly as the record encoded whole.
+    rows, _ = run_census(order, max_genus)
+    buf = io.StringIO()
+    write_census_jsonl(rows, buf)
+    lines = buf.getvalue().splitlines()[:-1]
+    assert lines == [to_json(census_row_record(row)) for row in rows]
+    assert necfix.census._report_json.cache_info().currsize <= 32
 
 
 def assert_encodes_as_asdict(obj):

@@ -15,8 +15,9 @@ from necfix import (
     subgroup_generated,
     validate,
 )
+from necfix.epimorphism import _verdict
 
-from strategies import SIG_POOL
+from strategies import SIG_POOL, all_assignments
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2_R3 = parse_signature("(0;+;[2,2,2,4,4];{()})")
@@ -147,6 +148,48 @@ def test_genus_check_rejects_small_and_nonintegral():
     sig = parse_signature("(0;+;[2,7];{()})")
     report = validate(CyclicEpimorphism(sig, 7, (0, 2), (5,), (3,)))
     assert not check(report, "GENUS").passed
+
+
+def test_valid_maps_of_one_signature_share_their_report():
+    first = validate(parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5;c=7"))
+    second = validate(parse_map_text(EXAMPLE1_ODD, 14, "x=7,4;e=3;c=7"))
+    assert first.valid
+    assert second is first
+
+
+def test_invalid_map_after_a_valid_one_keeps_its_failures():
+    assert validate(parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5;c=7")).valid
+    report = validate(parse_map_text(EXAMPLE1_ODD, 14, "x=7,3;e=5;c=3"))
+    assert not report.valid
+    assert report.kernel_genus is None
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        ("REFLECTIONS", "reflection images [3] must all equal 7"),
+        ("SMOOTH-ELLIPTIC", "image 3 has order 14, period is 7"),
+        ("LONG-RELATION", "defining product maps to 1 (mod 14)"),
+    ]
+
+
+# x, e and reflection images; glides; and a/b images with no reversing
+# generator at all.  The first has valid maps at order 4, the second at
+# orders 3 and 6.
+VERDICT_SIGS = [
+    parse_signature("(0;+;[2,4];{()})"),
+    parse_signature("(2;-;[3];{})"),
+    parse_signature("(1;+;[2];{})"),
+]
+
+
+def test_shared_verdicts_do_not_depend_on_the_order_of_calls():
+    # A cache key that missed a value the checks read would hand a map the
+    # report of whichever map with the same key came first.
+    maps = [epi for sig in VERDICT_SIGS for order in range(2, 9)
+            for epi in all_assignments(sig, order)]
+    _verdict.cache_clear()
+    forward = [validate(epi) for epi in maps]
+    _verdict.cache_clear()
+    backward = [validate(epi) for epi in reversed(maps)]
+    assert forward == backward[::-1]
+    assert {r.valid for r in forward} == {True, False}
 
 
 def test_constructor_rejects_wrong_lengths():
