@@ -20,7 +20,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
 from .epimorphism import CyclicEpimorphism, format_map_text, validate
 from .fixedpoints import FixedPointReport, full_report, twists_field
@@ -91,25 +91,36 @@ def enumerate_signatures(order, max_genus):
 
 def _iter_epimorphisms(sig, order):
     """Yield the valid assignments for one signature, in lexicographic order
-    of the (x, e, orientation) image tuple.  x images have exact order m_i;
-    a map is built only when the long relation holds (weight 1 for x and e,
-    2 for glides, 0 for a/b), and validate decides the rest."""
+    of the (x, e, orientation) image tuple.  x images have exact order m_i,
+    and the long relation (weight 1 for x and e, 2 for glides, 0 for a/b)
+    fixes the last e image (sign '+') or glide (sign '-', none or two roots
+    at even order), so a map is built only when it holds; validate decides
+    the rest.  Sign '+' without cycles has no map: nothing reverses orientation."""
     cycles = sig.empty_cycles
-    if sig.nonempty_cycles or (cycles and order % 2):
+    plus = sig.sign is Sign.PLUS
+    if sig.nonempty_cycles or (cycles and order % 2) or (plus and not cycles):
         return
     r = len(sig.periods)
     x_slots = [[order // m * k for k in units(m)] if order % m == 0 else [] for m in sig.periods]
-    n_orient = 2 * sig.genus if sig.sign is Sign.PLUS else sig.genus
-    glide = 2 if sig.sign is Sign.MINUS else 0
-    weights = (1,) * (r + cycles) + (glide,) * n_orient
+    n_orient = 2 * sig.genus if plus else sig.genus
+    solved = r + cycles - 1 if plus else r + cycles + n_orient - 1
+    weights = (1,) * (r + cycles) + (0 if plus else 2,) * n_orient
+    weights = weights[:solved] + weights[solved + 1 :]
     c_fixed = (order // 2,) * cycles
-    for images in product(*x_slots, *[range(order)] * (cycles + n_orient)):
-        if sum(map(operator.mul, weights, images)) % order:
-            continue
-        xs, es, orient = images[:r], images[r : r + cycles], images[r + cycles :]
-        epi = CyclicEpimorphism(sig, order, xs, es, c_fixed, orient)
-        if validate(epi).valid:
-            yield epi
+    for free in product(*x_slots, *[range(order)] * (cycles + n_orient - 1)):
+        rest = -sum(map(operator.mul, weights, free)) % order
+        if plus:
+            roots = (rest,)
+        elif order % 2:
+            roots = (rest * (order + 1) // 2 % order,)
+        else:
+            roots = () if rest % 2 else (rest // 2, rest // 2 + order // 2)
+        for root in roots:
+            images = (*free[:solved], root, *free[solved:])
+            xs, es, orient = images[:r], images[r : r + cycles], images[r + cycles :]
+            epi = CyclicEpimorphism(sig, order, xs, es, c_fixed, orient)
+            if validate(epi).valid:
+                yield epi
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,23 +134,23 @@ def units(order):
 
 def is_canonical(epi):
     """True when the image tuple is lexicographically least in its orbit
-    under unit multiplication (the Aut(C_M) action).  Reflection images are
-    left out: they all equal M/2, which every unit fixes."""
+    under unit multiplication (the Aut(C_M) action); unit 1 fixes it and is
+    skipped.  Reflection images are left out: they all equal M/2, which
+    every unit fixes."""
     order = epi.modulus
     key = (*epi.x_images, *epi.e_images, *epi.orient_images)
-    return all(key <= tuple(u * v % order for v in key) for u in units(order))
+    return all(key <= tuple([u * v % order for v in key]) for u in units(order)[1:])
 
 
 def enumerate_epimorphisms(sig, order, up_to_aut=False):
     """All valid assignments for sig onto the cyclic group of this order.
 
-    Reflection images are pinned to order/2 (the only candidate value), so
-    the search runs over the x, e and orientation images: each x image over
-    the elements of exact order m_i, and a map is built only when the long
-    relation holds.  With up_to_aut, only the lexicographically least
+    Reflection images are pinned to order/2 (the only candidate value), each
+    x image runs over the elements of exact order m_i, and one e or glide
+    image is solved from the long relation, so a map is built only when the
+    long relation holds.  With up_to_aut, only the lexicographically least
     representative of each orbit under unit multiplication is kept.  Returns
-    an empty list when no smooth epimorphism with non-orientable surface
-    kernel exists.
+    an empty list when no such smooth epimorphism exists.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
@@ -283,16 +294,22 @@ def census_row_csv(row):
 
 
 def census_row_record(row):
-    involution = row.report.involution
     return {
         "signature": format_signature(row.epi.sig),
-        "modulus": row.epi.modulus,
         "images": format_map_text(row.epi),
-        "kernel_genus": row.report.kernel_genus,
-        "scherrer_equality": involution is not None and involution.scherrer_equality,
         "canonical": row.canonical,
         "shadow_key": shadow_key(row.epi),
-        "report": row.report,
+        **_shared_fields(row.epi.modulus, row.report),
+    }
+
+
+def _shared_fields(modulus, report):
+    """The record fields of every row with this order and report."""
+    return {
+        "kernel_genus": report.kernel_genus,
+        "modulus": modulus,
+        "report": report,
+        "scherrer_equality": report.involution is not None and report.involution.scherrer_equality,
     }
 
 
@@ -314,19 +331,25 @@ def write_census_csv(rows, fh):
 def write_census_jsonl(rows, fh):
     """Stream rows as JSON lines, then a trailer object (same checksum idea).
 
-    Each line is to_json of the row's record.  Rows share reports, so the
-    record is encoded with a null report and the shared report's text is
-    spliced in: '"report": null' can only be that key, since the encoder
-    escapes every quote inside a string value.
+    Each line reads as to_json of the row's record.  A block of rows of one
+    signature encodes the signature once, and the fields of its maps with
+    equal e images once: each row carries full_report of its map, which
+    depends only on the signature, order and e images.
     """
     stream = _HashingStream(fh)
     count = 0
-    for row in rows:
-        head, _, tail = to_json({**census_row_record(row), "report": None}).partition(
-            '"report": null'
-        )
-        stream.write(f'{head}"report": {_report_json(row.report)}{tail}\n')
-        count += 1
+    for (sig, modulus), block in groupby(rows, key=lambda row: (row.epi.sig, row.epi.modulus)):
+        tail = f', "signature": {to_json(format_signature(sig))}}}\n'
+        shared = {}
+        for row in block:
+            epi = row.epi
+            middle = shared.get(epi.e_images)
+            if middle is None:
+                middle = shared[epi.e_images] = to_json(_shared_fields(modulus, row.report))[1:-1]
+            stream.write(f'{{"canonical": {"true" if row.canonical else "false"}, "images": '
+                         f'{to_json(format_map_text(epi))}, {middle}, '
+                         f'"shadow_key": {to_json(shadow_key(epi))}{tail}')
+            count += 1
     trailer = {"rows": count, "sha256": stream.digest.hexdigest(), "type": "trailer"}
     fh.write(to_json(trailer) + "\n")
     return count
@@ -339,9 +362,3 @@ def to_json(obj):
     """The one JSON encoding of every record necfix prints: keys sorted, and
     each dataclass written as its fields (``vars``), tuples as arrays."""
     return _ENCODER.encode(obj)
-
-
-@functools.lru_cache(maxsize=32)
-def _report_json(report):
-    """to_json of a fixed-point report, kept for the 32 most recent ones."""
-    return to_json(report)

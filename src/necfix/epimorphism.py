@@ -24,7 +24,8 @@ class CyclicEpimorphism:
 
     `orient_images` holds the a/b images interleaved (a1, b1, a2, b2, ...)
     for sign '+' and the glide images for sign '-'.  All exponents are
-    reduced into [0, modulus).
+    stored as tuples reduced into [0, modulus); a field that already is one
+    is kept as given, so a census builds each of its maps once.
     """
 
     sig: NecSignature
@@ -35,8 +36,9 @@ class CyclicEpimorphism:
     orient_images: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
+        modulus = self.modulus
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
         sig = self.sig
         plus = sig.sign is Sign.PLUS
         for field, count, label in (
@@ -45,10 +47,13 @@ class CyclicEpimorphism:
             ("c_images", sig.empty_cycles, "c"),
             ("orient_images", 2 * sig.genus if plus else sig.genus, "a/b" if plus else "glide"),
         ):
-            reduced = tuple(v % self.modulus for v in getattr(self, field))
-            if len(reduced) != count:
-                raise ValueError(f"expected {count} {label} images, got {len(reduced)}")
-            object.__setattr__(self, field, reduced)
+            images = getattr(self, field)
+            if type(images) is not tuple or images and not (
+                    0 <= min(images) <= max(images) < modulus):
+                images = tuple(v % modulus for v in images)
+                object.__setattr__(self, field, images)
+            if len(images) != count:
+                raise ValueError(f"expected {count} {label} images, got {len(images)}")
 
 
 @dataclass(frozen=True)
@@ -127,17 +132,19 @@ def validate(epi):
     """
     sig = epi.sig
     order = epi.modulus
-    bad = tuple(
-        (u, n, m) for m, u in zip(sig.periods, epi.x_images) if (n := image_order(order, u)) != m
+    xs, es, cs = epi.x_images, epi.e_images, epi.c_images
+    orders = tuple([order // math.gcd(order, u) for u in xs])
+    bad = () if orders == sig.periods else tuple(
+        (u, n, m) for u, n, m in zip(xs, orders, sig.periods) if n != m
     )
     # The one orientation split: glides reverse orientation, a/b preserve it.
     if sig.sign is Sign.MINUS:
         glides, handles = epi.orient_images, ()
     else:
         glides, handles = (), epi.orient_images
-    total = (sum(epi.x_images) + sum(epi.e_images) + 2 * sum(glides)) % order
-    size = image_order(order, *epi.x_images, *epi.e_images, *epi.c_images, *epi.orient_images)
-    reversing = (*epi.c_images, *glides)
+    total = (sum(xs) + sum(es) + 2 * sum(glides)) % order
+    size = order // math.gcd(order, *xs, *es, *cs, *epi.orient_images)
+    reversing = (*cs, *glides)
     plus_size = None
     if reversing:
         # The orientation-preserving subgroup is generated by the preserving
@@ -146,10 +153,9 @@ def validate(epi):
         # since ri + rj = (r0 + ri) + (r0 + rj) - 2 r0 and 2 r0 = r0 + r0 is
         # one of them: linearly many generators instead of all pairs.
         r0 = reversing[0]
-        plus_size = image_order(
-            order, *epi.x_images, *epi.e_images, *handles, *(r0 + r for r in reversing)
-        )
-    return _verdict(sig, order, epi.c_images, bad, total, size, plus_size)
+        plus_size = order // math.gcd(order, *xs, *es, *handles,
+                                      *[r0 + r for r in reversing])
+    return _verdict(sig, order, cs, bad, total, size, plus_size)
 
 
 @functools.lru_cache(maxsize=256)
@@ -287,5 +293,5 @@ def format_map_text(epi):
     else:
         genus_sections = [("d", orient)]
     sections = [("x", epi.x_images), ("e", epi.e_images), ("c", epi.c_images), *genus_sections]
-    return ";".join(f"{key}=" + ",".join(map(str, images))
-                    for key, images in sections if images)
+    return ";".join([f"{key}=" + ",".join(map(str, images))
+                     for key, images in sections if images])

@@ -70,6 +70,13 @@ class NecSignature:
         if self.sign is Sign.MINUS and self.genus == 0:
             # A non-orientable quotient needs at least one cross-cap.
             raise ValueError("sign '-' requires genus at least 1")
+        # Hashed once, from ints only: str (and Enum) hashes are salted per
+        # process, and a pickled signature carries this value to workers.
+        parts = (self.genus, self.sign is Sign.PLUS, self.periods, self.empty_cycles)
+        object.__setattr__(self, "_hash", hash((*parts, self.nonempty_cycles)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def total_cycles(self):

@@ -173,6 +173,11 @@ BRUTE_FORCE_SIGS = [
     parse_signature("(1;+;[2];{})"),
     parse_signature("(1;-;[3,9];{})"),
     parse_signature("(0;+;[];{()()})"),
+    # The last glide is solved after the e images; sign '+' with no cycle is skipped.
+    parse_signature("(1;-;[];{()})"),
+    parse_signature("(2;-;[];{()})"),
+    parse_signature("(1;-;[2];{()()})"),
+    parse_signature("(2;+;[];{})"),
 ]
 
 
@@ -346,16 +351,27 @@ def test_census_jsonl_trailer():
     assert {"signature", "modulus", "images", "kernel_genus", "report"} <= set(record)
 
 
-@pytest.mark.parametrize("order, max_genus", [(4, 10), (6, 8)])
-def test_census_jsonl_lines_equal_the_one_encoder(order, max_genus):
-    # Each line splices a shared report's text into its row's record; it
-    # must read exactly as the record encoded whole.
+@pytest.mark.parametrize("order, max_genus", [(4, 10), (6, 8), (3, 10)])
+def test_census_jsonl_lines_equal_the_one_encoder(order, max_genus, monkeypatch):
+    # Each line joins its row's own fields to the text its signature block
+    # shares; it must read exactly as the record encoded whole.  At odd
+    # order every report has "involution": null.
     rows, _ = run_census(order, max_genus)
+    encoded = []
+    monkeypatch.setattr(necfix.census, "to_json", lambda obj: encoded.append(obj) or to_json(obj))
     buf = io.StringIO()
     write_census_jsonl(rows, buf)
     lines = buf.getvalue().splitlines()[:-1]
     assert lines == [to_json(census_row_record(row)) for row in rows]
-    assert necfix.census._report_json.cache_info().currsize <= 32
+    # A report is encoded once per signature and e images, and a signature
+    # once per block, however many rows share them.
+    reports = [obj for obj in encoded if isinstance(obj, dict) and "report" in obj]
+    assert len(reports) == len({(row.epi.sig, row.epi.e_images) for row in rows}) < len(rows)
+    texts = [obj for obj in encoded if isinstance(obj, str) and obj.startswith("(")]
+    assert texts == list(dict.fromkeys(format_signature(row.epi.sig) for row in rows))
+    if order % 2:
+        assert len(rows) == 292
+        assert all(row.report.involution is None for row in rows)
 
 
 def assert_encodes_as_asdict(obj):

@@ -211,6 +211,27 @@ def test_images_reduced_mod_order():
     assert epi.e_images == (5,)
 
 
+@pytest.mark.parametrize(
+    "x, e, c",
+    [
+        ([7, 2], [0], [7]),
+        ((7, 2), (14,), (7,)),
+        ((21, 16), (28,), (-7,)),
+        ((-7, -12), (-14,), (7,)),
+    ],
+)
+def test_constructor_stores_reduced_tuples(x, e, c):
+    # Lists, images at or above the order and negative images are rebuilt;
+    # the map then equals, and hashes like, the one given reduced tuples.
+    reduced = CyclicEpimorphism(EXAMPLE1_ODD, 14, (7, 2), (0,), (7,))
+    epi = CyclicEpimorphism(EXAMPLE1_ODD, 14, x, e, c)
+    assert (epi.x_images, epi.e_images, epi.c_images, epi.orient_images) == (
+        (7, 2), (0,), (7,), ())
+    assert all(type(images) is tuple for images in (epi.x_images, epi.e_images, epi.c_images))
+    assert epi == reduced
+    assert hash(epi) == hash(reduced)
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_validity_is_unit_equivariant(data):
@@ -297,7 +318,7 @@ def test_preserving_image_by_parity_known_answers(sig_text, order, images, size)
 
 
 def check_subgroups_against_closure(data, pool):
-    # validate sizes subgroups with image_order; recount them by closure.
+    # validate sizes subgroups by gcd; recount them by closure.
     sig = data.draw(st.sampled_from(pool))
     order = data.draw(st.integers(min_value=1, max_value=16))
     images = st.integers(min_value=0, max_value=order - 1)

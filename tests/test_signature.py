@@ -1,3 +1,7 @@
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -90,6 +94,37 @@ def test_constructor_rejects_bad_data():
         NecSignature(0, Sign.PLUS, (1,))
     with pytest.raises(ValueError):
         NecSignature(0, Sign.PLUS, (), 0, ((),))
+
+
+@given(signatures(allow_links=True))
+def test_pickled_signature_equals_and_hashes_the_same(sig):
+    copy = pickle.loads(pickle.dumps(sig))
+    assert copy == sig
+    assert hash(copy) == hash(sig)
+
+
+def test_pickled_signature_hashes_alike_under_another_hash_seed():
+    # A spawn-started census worker unpickles signatures under its own
+    # string-hash seed; there they must still find the signatures it builds.
+    sig = parse_signature("(1;-;[2,3];{()(2,2)})")
+    code = (
+        "import pickle, sys\n"
+        "from necfix import parse_signature\n"
+        "sig = pickle.loads(sys.stdin.buffer.read())\n"
+        "print({parse_signature('(1;-;[2,3];{()(2,2)})'): 'found'}.get(sig))\n"
+    )
+    import necfix
+
+    src = os.path.dirname(os.path.dirname(necfix.__file__))
+    for seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps(sig),
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            check=True,
+        )
+        assert result.stdout == b"found\n"
 
 
 @pytest.mark.parametrize(
