@@ -174,11 +174,11 @@ def shadow_key(epi):
 
 def _census_task(args):
     sig, order, up_to_aut, verify = args
-    # With up_to_aut every kept map is already its orbit's representative.
-    rows = [
-        CensusRow(epi, full_report(epi), up_to_aut or is_canonical(epi))
-        for epi in enumerate_epimorphisms(sig, order, up_to_aut)
-    ]
+    rows = []
+    for epi in _iter_epimorphisms(sig, order):
+        canonical = is_canonical(epi)
+        if canonical or not up_to_aut:
+            rows.append(CensusRow(epi, full_report(epi), canonical))
     disagreements = []
     if verify:
         for row in rows:
@@ -210,18 +210,13 @@ def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
     """
     check_census_args(order, workers)
     tasks = [(sig, order, up_to_aut, verify) for sig in enumerate_signatures(order, max_genus)]
-    rows = []
-    disagreements = []
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_census_task, tasks, chunksize=1))
     else:
         results = [_census_task(t) for t in tasks]
-    for task_rows, task_disagreements in results:
-        rows.extend(task_rows)
-        disagreements.extend(task_disagreements)
-    return rows, disagreements
+    return [row for rows, _ in results for row in rows], [d for _, ds in results for d in ds]
 
 
 def max_cyclic_order(genus, cap=12):
@@ -293,26 +288,6 @@ def census_row_csv(row):
     ]
 
 
-def census_row_record(row):
-    return {
-        "signature": format_signature(row.epi.sig),
-        "images": format_map_text(row.epi),
-        "canonical": row.canonical,
-        "shadow_key": shadow_key(row.epi),
-        **_shared_fields(row.epi.modulus, row.report),
-    }
-
-
-def _shared_fields(modulus, report):
-    """The record fields of every row with this order and report."""
-    return {
-        "kernel_genus": report.kernel_genus,
-        "modulus": modulus,
-        "report": report,
-        "scherrer_equality": report.involution is not None and report.involution.scherrer_equality,
-    }
-
-
 def write_census_csv(rows, fh):
     """Stream rows as CSV, then a trailer record with the row count and the
     sha256 of all preceding bytes."""
@@ -331,10 +306,12 @@ def write_census_csv(rows, fh):
 def write_census_jsonl(rows, fh):
     """Stream rows as JSON lines, then a trailer object (same checksum idea).
 
-    Each line reads as to_json of the row's record.  A block of rows of one
-    signature encodes the signature once, and the fields of its maps with
-    equal e images once: each row carries full_report of its map, which
-    depends only on the signature, order and e images.
+    Each line is one object with the keys canonical, images, kernel_genus,
+    modulus, report (the row's FixedPointReport), scherrer_equality (false
+    without an involution), shadow_key and signature, written sorted as
+    to_json writes them.  A block of rows of one signature encodes the
+    signature once, and the four fields its maps with equal e images share
+    once: full_report depends only on the signature, order and e images.
     """
     stream = _HashingStream(fh)
     count = 0
@@ -345,7 +322,14 @@ def write_census_jsonl(rows, fh):
             epi = row.epi
             middle = shared.get(epi.e_images)
             if middle is None:
-                middle = shared[epi.e_images] = to_json(_shared_fields(modulus, row.report))[1:-1]
+                report = row.report
+                middle = shared[epi.e_images] = to_json({
+                    "kernel_genus": report.kernel_genus,
+                    "modulus": modulus,
+                    "report": report,
+                    "scherrer_equality": report.involution is not None
+                    and report.involution.scherrer_equality,
+                })[1:-1]
             stream.write(f'{{"canonical": {"true" if row.canonical else "false"}, "images": '
                          f'{to_json(format_map_text(epi))}, {middle}, '
                          f'"shadow_key": {to_json(shadow_key(epi))}{tail}')

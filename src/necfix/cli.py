@@ -16,6 +16,7 @@ import argparse
 import csv
 import signal
 import sys
+from contextlib import nullcontext
 
 from .census import (
     CSV_COLUMNS,
@@ -166,16 +167,17 @@ def _cmd_enumerate(args):
 
 def _cmd_census(args):
     check_census_args(args.order, args.workers)
-    # Append mode leaves an existing file untouched until the census has finished.
-    try:
-        sink = open(args.output, "a", encoding="utf-8") if args.output else sys.stdout
-    except OSError as exc:
-        raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
-    try:
-        rows, disagreements = run_census(args.order, args.max_genus, up_to_aut=args.up_to_aut,
-                                         verify=args.verify, workers=args.workers)
-        if args.output:
-            sink.truncate(0)
+    if args.output:
+        # Opening for append checks the path before the census and keeps an
+        # existing file's bytes until the rows are ready.
+        try:
+            open(args.output, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
+    rows, disagreements = run_census(args.order, args.max_genus, up_to_aut=args.up_to_aut,
+                                     verify=args.verify, workers=args.workers)
+    target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with target as sink:
         if args.fmt == "json":
             write_census_jsonl(rows, sink)
         elif args.fmt == "csv":
@@ -184,17 +186,10 @@ def _cmd_census(args):
             print(f"census: order {args.order}, max genus {args.max_genus}, "
                   f"{len(rows)} row(s)", file=sink)
             for row in rows:
-                inv = row.report.involution
-                fv = f"F={inv.isolated_total} V={inv.oval_total}" if inv else "no involution"
-                print(
-                    f"  {format_signature(row.epi.sig)} M={row.epi.modulus} "
-                    f"{format_map_text(row.epi)} p={row.report.kernel_genus} {fv}"
-                    f"{' *' if inv and inv.scherrer_equality else ''}",
-                    file=sink,
-                )
-    finally:
-        if args.output:
-            sink.close()
+                sig, m, images, p, fixed, ovals, _, slack, _ = census_row_csv(row)
+                fv = f"F={fixed} V={ovals}" if fixed else "no involution"
+                star = " *" if slack == "0" else ""
+                print(f"  {sig} M={m} {images} p={p} {fv}{star}", file=sink)
     if disagreements:
         print(f"oracle disagreement: {disagreements[0]}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -128,7 +128,8 @@ def _fixed_cosets(order, cosets, i):
 
 def _compare_cycle(order, v, label, disagreements):
     """Oracle counts for one connecting image t^v, checked against the
-    formula; each mismatch is appended to disagreements under label."""
+    formula; each mismatch is appended to disagreements under label.
+    Returns the SweepEntry fields, whose first six are a CycleTranscript's."""
     delta, epsilon = exponents(order, v)
     doublecoset = oval_classes_doublecoset(order, v)
     by_exponent = order // 2 // delta
@@ -145,9 +146,7 @@ def _compare_cycle(order, v, label, disagreements):
         disagreements.append(
             f"{label}: twist oracle {twisted}, gcd criterion {formula.twisted}"
         )
-    return SweepEntry(
-        v, delta, epsilon, doublecoset, by_exponent, twisted, formula.oval_count, formula.twisted
-    )
+    return v, delta, epsilon, doublecoset, by_exponent, twisted, formula.oval_count, formula.twisted
 
 
 def cross_check(epi):
@@ -157,19 +156,10 @@ def cross_check(epi):
     order = epi.modulus
     disagreements = []
 
-    per_cycle = []
-    for j, v in enumerate(epi.e_images):
-        entry = _compare_cycle(order, v, f"cycle {j + 1} (v={v})", disagreements)
-        per_cycle.append(
-            CycleTranscript(
-                v,
-                entry.delta,
-                entry.epsilon,
-                entry.class_count_doublecoset,
-                entry.class_count_exponent,
-                entry.twisted_oracle,
-            )
-        )
+    per_cycle = tuple(
+        CycleTranscript(*_compare_cycle(order, v, f"cycle {j + 1} (v={v})", disagreements)[:6])
+        for j, v in enumerate(epi.e_images)
+    )
 
     # The points over the j-th cone point form Z_M/<u_j>, with t acting by
     # translation; a point is fixed by t^i exactly when its coset is.
@@ -187,7 +177,7 @@ def cross_check(epi):
 
     return OracleTranscript(
         order,
-        tuple(per_cycle),
+        per_cycle,
         tuple(per_power),
         not disagreements,
         tuple(disagreements),
@@ -203,5 +193,7 @@ def involution_sweep(order):
     """
     _require_even(order)
     disagreements = []
-    entries = tuple(_compare_cycle(order, v, f"v={v}", disagreements) for v in range(order))
+    entries = tuple(
+        SweepEntry(*_compare_cycle(order, v, f"v={v}", disagreements)) for v in range(order)
+    )
     return SweepTranscript(order, entries, not disagreements, tuple(disagreements))

@@ -85,8 +85,10 @@ MUTANTS = [
      "test_epimorphism.py"),
     ("census.py",
      "shared.get(epi.e_images)\n            if middle is None:\n"
+     "                report = row.report\n"
      "                middle = shared[epi.e_images] =",
      "shared.get(None)\n            if middle is None:\n"
+     "                report = row.report\n"
      "                middle = shared[None] =",
      "test_census.py"),
     ("census.py", "{to_json(shadow_key(epi))}{tail}')", "{to_json(shadow_key(epi))}}}\\n')",
@@ -101,6 +103,12 @@ MUTANTS = [
     # A constructor keeps only tuples already reduced into [0, modulus).
     ("epimorphism.py", "max(images) < modulus)", "max(images) <= modulus)",
      "test_epimorphism.py"),
+    # One path from census arguments to bytes: the walk keeps every map
+    # unless --up-to-aut, --output is replaced rather than appended to, and
+    # the table's equality marker reads the CSV slack.
+    ("census.py", "or not up_to_aut", "or up_to_aut", "test_cli.py"),
+    ("cli.py", 'open(args.output, "w"', 'open(args.output, "a"', "test_cli.py"),
+    ("cli.py", 'slack == "0"', 'slack != "0"', "test_cli.py"),
     # Parser: the lower bound on the first period of a list.
     ("signature.py", "values.append(integer(what, 2))\n            while",
      "values.append(integer(what))\n            while", "test_signature.py"),

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies and brute-force map sets."""
+"""Shared hypothesis strategies, brute-force map sets and the census record
+reference."""
 
 import itertools
 
@@ -9,8 +10,11 @@ from necfix import (
     NecSignature,
     Sign,
     enumerate_epimorphisms,
+    format_map_text,
+    format_signature,
     parse_signature,
 )
+from necfix.census import shadow_key
 
 period_values = st.integers(min_value=2, max_value=12)
 
@@ -66,3 +70,19 @@ def all_assignments(sig, order):
             sig, order, images[:r], images[r : r + k], images[r + k : r + 2 * k],
             images[r + 2 * k :],
         )
+
+
+def census_row_record(row):
+    """The whole JSON record of one census row, as a dict: the reference
+    each line of the JSONL writer must read as when encoded by to_json."""
+    report = row.report
+    return {
+        "signature": format_signature(row.epi.sig),
+        "images": format_map_text(row.epi),
+        "canonical": row.canonical,
+        "shadow_key": shadow_key(row.epi),
+        "kernel_genus": report.kernel_genus,
+        "modulus": row.epi.modulus,
+        "report": report,
+        "scherrer_equality": report.involution is not None and report.involution.scherrer_equality,
+    }

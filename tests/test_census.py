@@ -28,7 +28,6 @@ from necfix import (
 )
 from necfix.census import (
     CensusRow,
-    census_row_record,
     is_canonical,
     shadow_key,
     to_json,
@@ -38,7 +37,14 @@ from necfix.census import (
 )
 from fractions import Fraction
 
-from strategies import POOL_ORDERS, SIG_POOL, VALID_POOL_MAPS, all_assignments, image_slots
+from strategies import (
+    POOL_ORDERS,
+    SIG_POOL,
+    VALID_POOL_MAPS,
+    all_assignments,
+    census_row_record,
+    image_slots,
+)
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2 = parse_signature("(0;+;[2,2,4,4];{()})")

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -311,6 +313,46 @@ def test_census_output_replaces_existing_file(tmp_path, capsys):
     assert code == 0
     _, out, _ = run_cli(capsys, *args)
     assert path.read_text(encoding="utf-8") == out
+
+
+def test_census_output_to_a_non_regular_file(capsys):
+    # The rows are written through a fresh open, never truncated in place,
+    # so a device such as /dev/null is a valid target.
+    code, out, err = run_cli(
+        capsys,
+        "census", "--order", "4", "--max-genus", "6", "--format", "csv", "--output", os.devnull,
+    )
+    assert code == 0
+    assert out == ""
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "order, equalities, digest",
+    [
+        (6, 54, "0ad4b2ae8fe3644779956bc0a654287cf8bf8d638d00c29f4b7b6f7a66e0df03"),
+        (5, 0, "aae629e02629e768756f2fc7297a0715b6e2f87b753a3f4ec2ef44131c1ff6eb"),
+    ],
+)
+def test_census_table_lines_read_the_csv_fields(capsys, order, equalities, digest):
+    args = ("census", "--order", str(order), "--max-genus", "8")
+    code, table, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(table.encode()).hexdigest() == digest
+    _, out, _ = run_cli(capsys, *args, "--format", "csv")
+    records = list(csv.DictReader(out.splitlines()[:-1]))
+    header, *lines = table.splitlines()
+    assert header == f"census: order {order}, max genus 8, {len(records)} row(s)"
+    assert len(lines) == len(records)
+    for line, r in zip(lines, records):
+        fv = f"F={r['F']} V={r['V']}" if r["F"] else "no involution"
+        star = " *" if r["scherrer_slack"] == "0" else ""
+        assert line == f"  {r['signature']} M={r['M']} {r['images']} p={r['p']} {fv}{star}"
+    starred = [line.endswith(" *") for line in lines]
+    assert starred == [r["scherrer_slack"] == "0" for r in records]
+    assert sum(starred) == equalities
+    if order % 2:
+        assert all(line.endswith(" no involution") for line in lines)
 
 
 def test_census_interrupted_run_keeps_existing_output(tmp_path, monkeypatch):
