@@ -21,7 +21,6 @@ from .epimorphism import (
     format_map_text,
     image_order,
     parse_map_text,
-    subgroup_generated,
     validate,
 )
 from .fixedpoints import (
@@ -72,6 +71,5 @@ __all__ = [
     "parse_map_text",
     "parse_signature",
     "run_census",
-    "subgroup_generated",
     "validate",
 ]

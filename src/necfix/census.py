@@ -18,7 +18,6 @@ import json
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby, product
 
@@ -212,6 +211,9 @@ def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
     tasks = [(sig, order, up_to_aut, verify) for sig in enumerate_signatures(order, max_genus)]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: loading the pool's modules slows every start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_census_task, tasks, chunksize=1))
     else:
@@ -298,8 +300,7 @@ def write_census_csv(rows, fh):
     for row in rows:
         writer.writerow(census_row_csv(row))
         count += 1
-    trailer = csv.writer(fh, lineterminator="\n")
-    trailer.writerow(["#trailer", f"rows={count}", f"sha256={stream.digest.hexdigest()}"])
+    fh.write(f"#trailer,rows={count},sha256={stream.digest.hexdigest()}\n")
     return count
 
 

@@ -42,54 +42,6 @@ EXIT_DISAGREEMENT = 3
 EXIT_INVALID = 4
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="necfix",
-        description="Fixed points, ovals and twist types of cyclic actions on "
-        "closed non-orientable surfaces, from NEC signature data.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_format(p, choices=("table", "json", "csv")):
-        p.add_argument("--format", default="table", choices=choices, dest="fmt")
-
-    p = sub.add_parser("analyze", help="validate one map and report its fixed-point data")
-    p.add_argument("signature")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--map", default="", dest="map_text")
-    add_format(p)
-
-    p = sub.add_parser("enumerate", help="list all valid maps for a signature")
-    p.add_argument("signature")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--up-to-aut", action="store_true", dest="up_to_aut")
-    add_format(p)
-
-    p = sub.add_parser("census", help="enumerate signatures and maps at one order")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--max-genus", type=int, required=True, dest="max_genus")
-    p.add_argument("--up-to-aut", action="store_true", dest="up_to_aut")
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--output", help="write rows to a file instead of stdout")
-    add_format(p)
-
-    p = sub.add_parser("verify", help="brute-force oracle cross-checks")
-    p.add_argument("signature", nargs="?")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--map", default="", dest="map_text")
-    p.add_argument("--all-v", action="store_true", dest="all_v",
-                   help="sweep every connecting image v in [0, order)")
-    add_format(p, choices=("table", "json"))
-
-    p = sub.add_parser("max-order", help="largest cyclic order acting at a genus")
-    p.add_argument("genus", type=int)
-    p.add_argument("--cap", type=int, default=12)
-    add_format(p, choices=("table", "json"))
-
-    return parser
-
-
 def _print_validation(report, file=None):
     for check in report.checks:
         status = "ok  " if check.passed else "FAIL"
@@ -225,23 +177,61 @@ def _cmd_max_order(args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "enumerate": _cmd_enumerate,
-    "census": _cmd_census,
-    "verify": _cmd_verify,
-    "max-order": _cmd_max_order,
-}
+def _add_format(p, run, choices=("table", "json", "csv")):
+    p.add_argument("--format", default="table", choices=choices, dest="fmt")
+    p.set_defaults(run=run)
+
+
+# Built once per process: a request only parses, then calls its handler.
+_PARSER = argparse.ArgumentParser(
+    prog="necfix",
+    description="Fixed points, ovals and twist types of cyclic actions on "
+    "closed non-orientable surfaces, from NEC signature data.",
+)
+_sub = _PARSER.add_subparsers(dest="subcommand", required=True)
+
+_p = _sub.add_parser("analyze", help="validate one map and report its fixed-point data")
+_p.add_argument("signature")
+_p.add_argument("--order", type=int, required=True)
+_p.add_argument("--map", default="", dest="map_text")
+_add_format(_p, _cmd_analyze)
+
+_p = _sub.add_parser("enumerate", help="list all valid maps for a signature")
+_p.add_argument("signature")
+_p.add_argument("--order", type=int, required=True)
+_p.add_argument("--up-to-aut", action="store_true", dest="up_to_aut")
+_add_format(_p, _cmd_enumerate)
+
+_p = _sub.add_parser("census", help="enumerate signatures and maps at one order")
+_p.add_argument("--order", type=int, required=True)
+_p.add_argument("--max-genus", type=int, required=True, dest="max_genus")
+_p.add_argument("--up-to-aut", action="store_true", dest="up_to_aut")
+_p.add_argument("--verify", action="store_true")
+_p.add_argument("--workers", type=int, default=1)
+_p.add_argument("--output", help="write rows to a file instead of stdout")
+_add_format(_p, _cmd_census)
+
+_p = _sub.add_parser("verify", help="brute-force oracle cross-checks")
+_p.add_argument("signature", nargs="?")
+_p.add_argument("--order", type=int, required=True)
+_p.add_argument("--map", default="", dest="map_text")
+_p.add_argument("--all-v", action="store_true", dest="all_v",
+                help="sweep every connecting image v in [0, order)")
+_add_format(_p, _cmd_verify, choices=("table", "json"))
+
+_p = _sub.add_parser("max-order", help="largest cyclic order acting at a genus")
+_p.add_argument("genus", type=int)
+_p.add_argument("--cap", type=int, default=12)
+_add_format(_p, _cmd_max_order, choices=("table", "json"))
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.subcommand](args)
+        return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .epimorphism import image_order, validate
-from .signature import kernel_genus
 
 
 @dataclass(frozen=True)
@@ -96,13 +95,15 @@ def full_report(epi):
     valid maps with equal signature, order and connecting images may get
     the same (frozen) report object.
     """
-    validate(epi).require()
-    return _report(epi.sig, epi.modulus, epi.e_images)
+    validation = validate(epi)
+    validation.require()
+    return _report(epi.sig, epi.modulus, epi.e_images, validation.kernel_genus)
 
 
 @functools.lru_cache(maxsize=32)
-def _report(sig, order, e_images):
-    """The report of every valid map with this signature, order and e images.
+def _report(sig, order, e_images, genus):
+    """The report of every valid map with this signature, order and e images,
+    whose kernel has the given genus (its validation computed it).
 
     Holds at most 32 reports of order - 1 power rows each.  A census meets
     the maps of one signature together, so a few dozen entries catch
@@ -112,7 +113,6 @@ def _report(sig, order, e_images):
         PowerFixedPoints(i, image_order(order, i), isolated_fixed_points(sig, order, i))
         for i in range(1, order)
     )
-    genus = kernel_genus(sig, order)
     involution = None
     if order % 2 == 0:
         per_cycle = tuple(cycle_ovals(order, v) for v in e_images)

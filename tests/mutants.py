@@ -52,10 +52,10 @@ MUTANTS = [
      "test_epimorphism.py"),
     # Reports: the cache key keeps the e images; the oval count; report fields.
     ("fixedpoints.py",
-     "@functools.lru_cache(maxsize=32)\ndef _report(sig, order, e_images):\n",
-     "def _report(sig, order, e_images, _first={}):\n"
-     "    return _first.setdefault((sig, order), _build(sig, order, e_images))\n\n\n"
-     "def _build(sig, order, e_images):\n",
+     "@functools.lru_cache(maxsize=32)\ndef _report(sig, order, e_images, genus):\n",
+     "def _report(sig, order, e_images, genus, _first={}):\n"
+     "    return _first.setdefault((sig, order), _build(sig, order, e_images, genus))\n\n\n"
+     "def _build(sig, order, e_images, genus):\n",
      "test_fixedpoints.py"),
     ("fixedpoints.py", "count = math.gcd(half, v)", "count = math.gcd(half, v) + 1",
      "test_oracle.py"),
@@ -109,6 +109,12 @@ MUTANTS = [
     ("census.py", "or not up_to_aut", "or up_to_aut", "test_cli.py"),
     ("cli.py", 'open(args.output, "w"', 'open(args.output, "a"', "test_cli.py"),
     ("cli.py", 'slack == "0"', 'slack != "0"', "test_cli.py"),
+    # The CLI is built once: a one-worker start-up loads no process pool, and
+    # each subcommand's parser dispatches to its own handler.
+    ("census.py", "import os\nfrom dataclasses",
+     "import os\nfrom concurrent.futures import ProcessPoolExecutor\nfrom dataclasses",
+     "test_cli.py"),
+    ("cli.py", "_add_format(_p, _cmd_census)", "_add_format(_p, _cmd_enumerate)", "test_cli.py"),
     # Parser: the lower bound on the first period of a list.
     ("signature.py", "values.append(integer(what, 2))\n            while",
      "values.append(integer(what))\n            while", "test_signature.py"),

@@ -424,6 +424,8 @@ def test_census_workers_agree():
 
 
 def test_census_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
+    import concurrent.futures
+
     import necfix.census as census
 
     sizes = []
@@ -443,7 +445,7 @@ def test_census_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     tasks = len(enumerate_signatures(4, 6))
     serial, _ = run_census(4, 6)
     for cpus in (3, 10_000, None):

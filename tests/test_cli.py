@@ -1,7 +1,9 @@
+import argparse
 import csv
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -437,6 +439,45 @@ def test_census_into_a_closed_pipe_ends_quietly():
 
 def test_unknown_flag_exits_2(capsys):
     assert main(["analyze", "--nope"]) == 2
+
+
+@pytest.mark.parametrize("sub, options", [
+    ("analyze", ["--help", "--order", "--map", "--format"]),
+    ("enumerate", ["--help", "--order", "--up-to-aut", "--format"]),
+    ("census", ["--help", "--order", "--max-genus", "--up-to-aut", "--verify", "--workers",
+                "--output", "--format"]),
+    ("verify", ["--help", "--order", "--map", "--all-v", "--format"]),
+    ("max-order", ["--help", "--cap", "--format"]),
+])
+def test_subcommand_help_lists_its_options_in_order(capsys, sub, options):
+    code, out, _ = run_cli(capsys, sub, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: necfix {sub} ")
+    listed = [m.group(1) for m in map(re.compile(r"  (?:-h, )?(--[\w-]+)").match,
+                                      out.splitlines()) if m]
+    assert listed == options
+
+
+def test_requests_reuse_one_parser(capsys, monkeypatch):
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("a request built a parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
+    assert run_cli(capsys, "max-order", "3")[:2] == (0, "max cyclic order at genus 3: 6\n")
+    assert main(["census", "--order", "4"]) == 2
+
+
+def test_cli_import_loads_no_process_pool():
+    # A one-worker census never starts a pool, so start-up skips its modules.
+    import necfix
+
+    code = ("import sys, necfix.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('multiprocessing', 'concurrent.futures'))))\n")
+    src = os.path.dirname(os.path.dirname(necfix.__file__))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_console_script_end_to_end():

@@ -12,10 +12,9 @@ from necfix import (
     image_order,
     parse_map_text,
     parse_signature,
-    subgroup_generated,
     validate,
 )
-from necfix.epimorphism import _verdict
+from necfix.epimorphism import _verdict, subgroup_generated
 
 from strategies import SIG_POOL, all_assignments
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from necfix import (
     full_report,
     isolated_fixed_points,
+    kernel_genus,
     parse_map_text,
     parse_signature,
     run_census,
@@ -177,7 +178,8 @@ def test_report_shared_by_maps_with_equal_key():
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(VALID_POOL_MAPS))
 def test_shared_report_equals_uncached(epi):
-    assert full_report(epi) == _report.__wrapped__(epi.sig, epi.modulus, epi.e_images)
+    genus = kernel_genus(epi.sig, epi.modulus)
+    assert full_report(epi) == _report.__wrapped__(epi.sig, epi.modulus, epi.e_images, genus)
 
 
 def test_invalid_map_raises_when_its_key_is_cached():
