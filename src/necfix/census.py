@@ -38,6 +38,7 @@ class CensusRow:
 
 
 MAX_PERIODS = 64
+MAX_CANDIDATES = 10**6
 
 
 def enumerate_signatures(order, max_genus):
@@ -94,7 +95,10 @@ def _iter_epimorphisms(sig, order):
     and the long relation (weight 1 for x and e, 2 for glides, 0 for a/b)
     fixes the last e image (sign '+') or glide (sign '-', none or two roots
     at even order), so a map is built only when it holds; validate decides
-    the rest.  Sign '+' without cycles has no map: nothing reverses orientation."""
+    the rest.  Sign '+' without cycles has no map: nothing reverses orientation.
+
+    Raises ValueError, before building any map, when the free image tuples
+    number more than MAX_CANDIDATES."""
     cycles = sig.empty_cycles
     plus = sig.sign is Sign.PLUS
     if sig.nonempty_cycles or (cycles and order % 2) or (plus and not cycles):
@@ -102,6 +106,10 @@ def _iter_epimorphisms(sig, order):
     r = len(sig.periods)
     x_slots = [[order // m * k for k in units(m)] if order % m == 0 else [] for m in sig.periods]
     n_orient = 2 * sig.genus if plus else sig.genus
+    size = math.prod(map(len, x_slots)) * order ** (cycles + n_orient - 1)
+    if size > MAX_CANDIDATES:
+        raise ValueError(f"{format_signature(sig)} has {size} candidate maps at order {order}, "
+                         f"above the limit of {MAX_CANDIDATES}")
     solved = r + cycles - 1 if plus else r + cycles + n_orient - 1
     weights = (1,) * (r + cycles) + (0 if plus else 2,) * n_orient
     weights = weights[:solved] + weights[solved + 1 :]
@@ -149,7 +157,8 @@ def enumerate_epimorphisms(sig, order, up_to_aut=False):
     image is solved from the long relation, so a map is built only when the
     long relation holds.  With up_to_aut, only the lexicographically least
     representative of each orbit under unit multiplication is kept.  Returns
-    an empty list when no such smooth epimorphism exists.
+    an empty list when no such smooth epimorphism exists, and raises
+    ValueError when more than MAX_CANDIDATES maps would be tried.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")

@@ -86,25 +86,23 @@ def image_order(modulus, *exponents):
 def subgroup_generated(modulus, gens):
     """Sorted element list of the subgroup of Z_modulus generated by gens.
 
-    Computed by closure iteration, deliberately without gcd: this routine
-    is the trusted base that the brute-force oracle uses to cross-check
-    the gcd formulas, so it must not share reasoning with them.  Only the
-    oracle calls it.  It could live in `oracle` without an import cycle; it
-    stays here because `perfbench/tracing.py` binds
+    A worklist closure from 0, deliberately without gcd: each element popped
+    is added to every generator, and each new sum is kept and pushed.  This
+    routine is the trusted base that the brute-force oracle uses to
+    cross-check the gcd formulas, so it must not share reasoning with them.
+    Only the oracle calls it.  It could live in `oracle` without an import
+    cycle; it stays here because `perfbench/tracing.py` binds
     `epimorphism.subgroup_generated`.
     """
-    gens = [g % modulus for g in gens]
     elements = {0}
-    frontier = [0]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                b = (a + g) % modulus
-                if b not in elements:
-                    elements.add(b)
-                    fresh.append(b)
-        frontier = fresh
+    todo = [0]
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            b = (a + g) % modulus
+            if b not in elements:
+                elements.add(b)
+                todo.append(b)
     return sorted(elements)
 
 

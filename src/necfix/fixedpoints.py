@@ -133,9 +133,8 @@ def _report(sig, order, e_images, genus):
 
 
 def twists_field(report):
-    """Flatten per-cycle twist data to "c1:2u;c2:1t" for census CSV rows."""
-    if report.involution is None:
-        return ""
+    """Flatten per-cycle twist data to "c1:2u;c2:1t" for census CSV rows;
+    the report needs an involution block, so an even order."""
     return ";".join(
         f"c{j + 1}:{c.oval_count}{'t' if c.twisted else 'u'}"
         for j, c in enumerate(report.involution.per_cycle)

@@ -121,11 +121,6 @@ def _cosets(order, u):
     return cosets
 
 
-def _fixed_cosets(order, cosets, i):
-    """How many of the cosets translation by i fixes, checked one by one."""
-    return sum((c + i) % order in coset for c, coset in cosets)
-
-
 def _compare_cycle(order, v, label, disagreements):
     """Oracle counts for one connecting image t^v, checked against the
     formula; each mismatch is appended to disagreements under label.
@@ -166,7 +161,7 @@ def cross_check(epi):
     partitions = [_cosets(order, u) for u in epi.x_images]
     per_power = []
     for i in range(1, order):
-        counts = [_fixed_cosets(order, cosets, i) for cosets in partitions]
+        counts = [sum((c + i) % order in coset for c, coset in cosets) for cosets in partitions]
         per_power.extend(
             PowerCosetCount(i, j, count) for j, count in enumerate(counts)
         )

@@ -78,10 +78,6 @@ class NecSignature:
     def __hash__(self):
         return self._hash
 
-    @property
-    def total_cycles(self):
-        return self.empty_cycles + len(self.nonempty_cycles)
-
 
 _TOKEN = re.compile(r"\d+|\S")
 
@@ -179,7 +175,7 @@ def orbifold_measure(sig):
     group.
     """
     alpha = 2 if sig.sign is Sign.PLUS else 1
-    total = Fraction(alpha * sig.genus + sig.total_cycles - 2)
+    total = Fraction(alpha * sig.genus + sig.empty_cycles + len(sig.nonempty_cycles) - 2)
     for m in sig.periods:
         total += 1 - Fraction(1, m)
     for cycle in sig.nonempty_cycles:

@@ -115,6 +115,12 @@ MUTANTS = [
      "import os\nfrom concurrent.futures import ProcessPoolExecutor\nfrom dataclasses",
      "test_cli.py"),
     ("cli.py", "_add_format(_p, _cmd_census)", "_add_format(_p, _cmd_enumerate)", "test_cli.py"),
+    # A signature with too many candidates exits 2 before building any, a
+    # census disagreement names its order, and map text keeps every a/b image.
+    ("census.py", "size > MAX_CANDIDATES", "size > MAX_CANDIDATES * 10**9", "test_cli.py"),
+    ("census.py", " M={order} {format_map_text(row.epi)}", " {format_map_text(row.epi)}",
+     "test_cli.py"),
+    ("epimorphism.py", "if len(a) != len(b):", "if False:", "test_epimorphism.py"),
     # Parser: the lower bound on the first period of a list.
     ("signature.py", "values.append(integer(what, 2))\n            while",
      "values.append(integer(what))\n            while", "test_signature.py"),

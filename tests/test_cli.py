@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -88,6 +89,20 @@ def test_analyze_csv_invalid_map_keeps_stdout_empty(capsys):
     assert "FAIL SMOOTH-ELLIPTIC" in err
 
 
+def test_analyze_odd_order_table_has_no_involution(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "(1;-;[5,5];{})", "--order", "5", "--map", "x=1,2;d=1"
+    )
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-7:] == [
+        "signature (1;-;[5,5];{})  order 5  kernel genus 5",
+        "power  order  isolated",
+        *[f"t^{i}        5         2" for i in range(1, 5)],
+        "no involution (odd order)",
+    ]
+
+
 def test_analyze_parse_error_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "(0;+;[1];{})", "--order", "14")
     assert code == 2
@@ -113,6 +128,76 @@ def test_enumerate_json(capsys):
     payload = json.loads(out)
     assert payload["count"] == 1
     assert payload["maps"][0]["map"] == "x=7,2;e=5;c=7"
+
+
+EXAMPLE1_MAPS = ["x=7,2;e=5;c=7", "x=7,4;e=3;c=7", "x=7,6;e=1;c=7",
+                 "x=7,8;e=13;c=7", "x=7,10;e=11;c=7", "x=7,12;e=9;c=7"]
+
+
+@pytest.mark.parametrize("fmt, lines", [
+    ("csv", ["signature,M,images",
+             *[f'"(0;+;[2,7];{{()}})",14,"{m}"' for m in EXAMPLE1_MAPS]]),
+    ("table", ["6 valid map(s) for (0;+;[2,7];{()}) onto C_14",
+               *[f"  {m}" for m in EXAMPLE1_MAPS]]),
+])
+def test_enumerate_csv_and_table(capsys, fmt, lines):
+    code, out, err = run_cli(
+        capsys, "enumerate", "(0;+;[2,7];{()})", "--order", "14", "--format", fmt
+    )
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == lines
+
+
+@pytest.mark.parametrize("signature, order, size", [
+    ("(0;+;[2,2];{()()})", "100000000", 100000000),
+    ("(3;+;[2];{()})", "12", 2985984),
+])
+def test_enumerate_over_the_candidate_bound_exits_2_at_once(capsys, monkeypatch,
+                                                           signature, order, size):
+    import necfix.census as census
+
+    # Without the bound, product would first copy range(10**8) into a tuple;
+    # failing there keeps a missing bound from allocating gigabytes here.
+    def no_product(*slots):
+        raise AssertionError("candidates were built past the bound")
+
+    monkeypatch.setattr(census, "product", no_product)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "enumerate", signature, "--order", order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1_000_000
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {signature} has {size} candidate maps at order {order}, "
+                   "above the limit of 1000000\n")
+
+
+def test_census_and_max_order_share_the_candidate_bound(tmp_path, capsys, monkeypatch):
+    import necfix.census as census
+
+    monkeypatch.setattr(census, "MAX_CANDIDATES", 10)
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"#trailer,rows=0,sha256=old\n")
+    code, out, err = run_cli(
+        capsys, "census", "--order", "4", "--max-genus", "6", "--format", "csv",
+        "--output", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == ("error: (0;+;[];{()()()}) has 16 candidate maps at order 4, "
+                   "above the limit of 10\n")
+    assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
+    monkeypatch.setattr(census, "MAX_CANDIDATES", 1)
+    code, out, err = run_cli(capsys, "max-order", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: (0;+;[2,3];{()}) has 2 candidate maps at order 6, above the limit of 1\n"
 
 
 @pytest.mark.parametrize("order", ["0", "-4"])
@@ -389,12 +474,20 @@ def test_census_with_too_many_periods_exits_2_at_once(tmp_path, capsys):
 
 
 def test_census_disagreement_exits_3(capsys, monkeypatch):
-    import necfix.cli as cli
+    import necfix.oracle as oracle
+    from necfix.fixedpoints import CycleOvals, cycle_ovals
 
-    monkeypatch.setattr(cli, "run_census", lambda *a, **k: ([], ["bad tuple"]))
-    code, _, err = run_cli(capsys, "census", "--order", "4", "--max-genus", "6")
+    def off_by_one(order, v):
+        right = cycle_ovals(order, v)
+        return CycleOvals(v, right.oval_count + 1, right.twisted)
+
+    # The oracle's formula is off by one; the census's reports are not.
+    monkeypatch.setattr(oracle, "cycle_ovals", off_by_one)
+    code, out, err = run_cli(capsys, "census", "--order", "4", "--max-genus", "6", "--verify")
     assert code == 3
-    assert "bad tuple" in err
+    assert out.startswith("census: order 4, max genus 6, 132 row(s)\n")
+    assert err == ("oracle disagreement: (0;+;[2,4];{()}) M=4 x=2,1;e=1;c=2: "
+                   "cycle 1 (v=1): double-coset 1, N/delta 1, gcd formula 2\n")
 
 
 @pytest.mark.parametrize("order, max_genus", [("1000000007", "3"), ("720720", "12")])

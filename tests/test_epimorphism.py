@@ -435,6 +435,9 @@ def test_map_text_plus_sign_interleaves_ab():
         ("x=7,2;x=7,2;e=5", "duplicate map section"),
         ("x=7,two;e=5", "non-integer"),
         ("x 7", "not of the form"),
+        # Genus 0 takes no pair, so zip would drop the image unnoticed.
+        ("x=7,2;e=5;a=1", "'a' and 'b' sections differ in length"),
+        ("x=7,2;e=5;b=1,2", "'a' and 'b' sections differ in length"),
     ],
 )
 def test_map_text_errors(text, message):
