@@ -56,13 +56,13 @@ def enumerate_signatures(order, max_genus):
     Raises ValueError when more than MAX_PERIODS periods fit under the bound,
     (max_genus - 2) + 2*order >= (MAX_PERIODS + 1)*(order - order/m_1):
     the glide signature (32;-;[];{}) then lies in range too, and its
-    order**32 image tuples could not be enumerated.
+    order**32 image tuples could not be enumerated.  Raises ValueError too,
+    before any signature is built, when the search would build more than
+    MAX_CANDIDATES period tuples (kept or not).
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     out = []
-    if max_genus < 3:
-        return out
     small = [m for m in range(1, math.isqrt(order) + 1) if order % m == 0]
     divisors = sorted({*small, *(order // m for m in small)} - {1})
     costs = [order - order // m for m in divisors]
@@ -70,23 +70,38 @@ def enumerate_signatures(order, max_genus):
         raise ValueError(f"more than {MAX_PERIODS} periods fit under max genus {max_genus} "
                          f"at order {order}; a census that large cannot be enumerated")
     top = 2 + (max_genus - 2) // order
-    for sign, alpha, least_genus in ((Sign.PLUS, 2, 0), (Sign.MINUS, 1, 1)):
-        for genus in range(least_genus, top // alpha + 1):
+    signs = ((Sign.PLUS, 2, range(0, top // 2 + 1)), (Sign.MINUS, 1, range(1, top + 1)))
+    # Each (sign, genus, cycle count) with alpha*genus + cycles <= top starts
+    # one walk, counted here before any is built; an odd order takes one
+    # cycle count per genus, so its count needs no loop.
+    if order % 2:
+        built = sum(len(genera) for _, _, genera in signs)
+    else:
+        built = sum(top - alpha * genus + 1 for _, alpha, genera in signs for genus in genera)
+    for sign, alpha, genera in signs:
+        for genus in genera:
             # A reflection needs an involution image, so odd orders take no cycles.
             for cycles in range(top - alpha * genus + 1 if order % 2 == 0 else 1):
                 # Period tuples one length at a time.  Entries: (tuple, index
                 # of its last divisor, left = max_genus - p).  Each extends a
                 # tuple one shorter by a divisor no smaller than its last whose
                 # cost M - M/m still fits (costs rise with m, so bisect finds
-                # the last one), so left >= 0; it is kept if p >= 3.
+                # the last one), so left >= 0; it is kept if p >= 3.  Each
+                # level is counted, with the walks, before it is built.
                 level = [((), 0, max_genus - 2 - order * (alpha * genus + cycles - 2))]
                 while level:
-                    out += [NecSignature(genus, sign, periods, cycles)
+                    out += [(genus, sign, periods, cycles)
                             for periods, _, left in level if left <= max_genus - 3]
+                    spans = [range(i, bisect.bisect_right(costs, left)) for _, i, left in level]
+                    built += sum(map(len, spans))
+                    if built > MAX_CANDIDATES:
+                        raise ValueError(
+                            f"the signature search at order {order} up to max genus {max_genus} "
+                            f"builds more than {MAX_CANDIDATES} period tuples; a census that "
+                            f"large cannot be enumerated")
                     level = [(periods + (divisors[j],), j, left - costs[j])
-                             for periods, i, left in level
-                             for j in range(i, bisect.bisect_right(costs, left))]
-    return out
+                             for (periods, _, left), span in zip(level, spans) for j in span]
+    return [NecSignature(*args) for args in out]
 
 
 def _iter_epimorphisms(sig, order):
@@ -132,11 +147,10 @@ def _iter_epimorphisms(sig, order):
 
 @functools.lru_cache(maxsize=64)
 def units(order):
-    """The units of Z_order in increasing order; every census row asks
+    """The units of Z_order in increasing order: (1,) at order 1, where
+    gcd(1, 1) = 1, and never order itself above it.  Every census row asks
     is_canonical for them, so the 64 most recent orders are kept."""
-    if order == 1:
-        return (1,)
-    return tuple(u for u in range(1, order) if math.gcd(u, order) == 1)
+    return tuple(u for u in range(1, order + 1) if math.gcd(u, order) == 1)
 
 
 def is_canonical(epi):

@@ -20,6 +20,7 @@ from contextlib import nullcontext
 
 from .census import (
     CSV_COLUMNS,
+    MAX_CANDIDATES,
     CensusRow,
     census_row_csv,
     check_census_args,
@@ -66,6 +67,10 @@ def _print_report_table(sig_text, order, report):
 
 
 def _cmd_analyze(args):
+    # A report has one row for each power t^i, 0 < i < M.
+    if args.order - 1 > MAX_CANDIDATES:
+        raise ValueError(f"a report at order {args.order} has {args.order - 1} power rows, "
+                         f"above the limit of {MAX_CANDIDATES}")
     sig = parse_signature(args.signature)
     epi = parse_map_text(sig, args.order, args.map_text)
     validation = validate(epi)
@@ -149,6 +154,11 @@ def _cmd_census(args):
 
 
 def _cmd_verify(args):
+    # The oracle takes about M^2 steps: a closure for each v, or a coset
+    # walk over Z_M for each power.
+    if args.order * args.order > MAX_CANDIDATES:
+        raise ValueError(f"the oracle at order {args.order} takes about {args.order ** 2} steps, "
+                         f"above the limit of {MAX_CANDIDATES}")
     if args.all_v:
         if args.signature or args.map_text:
             raise ValueError("--all-v sweeps every v at --order; drop the signature and --map")

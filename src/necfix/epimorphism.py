@@ -84,7 +84,7 @@ def image_order(modulus, *exponents):
 
 
 def subgroup_generated(modulus, gens):
-    """Sorted element list of the subgroup of Z_modulus generated by gens.
+    """The set of elements of the subgroup of Z_modulus generated by gens.
 
     A worklist closure from 0, deliberately without gcd: each element popped
     is added to every generator, and each new sum is kept and pushed.  This
@@ -103,7 +103,7 @@ def subgroup_generated(modulus, gens):
             if b not in elements:
                 elements.add(b)
                 todo.append(b)
-    return sorted(elements)
+    return elements
 
 
 def validate(epi):

@@ -8,7 +8,7 @@ are counted two independent ways, neither using gcd:
     biject with the cosets of the subgroup generated by {N, v} in Z_M,
     found by closure enumeration;
   * exponents: delta = least d with d*v in {0, N} and epsilon = least d
-    with d*v = 0, found by incremental search; the class count is N/delta
+    with d*v = 0, found by trying each d in turn; the class count is N/delta
     and the oval is twisted exactly when epsilon = 2*delta.
 
 Isolated fixed points are recounted by enumerating the cosets of the
@@ -84,24 +84,17 @@ def oval_classes_doublecoset(order, v):
 
 
 def exponents(order, v):
-    """(delta, epsilon) for a connecting image t^v, by incremental search.
+    """(delta, epsilon) for a connecting image t^v, by their definitions.
 
     delta is the least d >= 1 with d*v in {0, N} (the exponent landing in
-    Lambda), epsilon the least with d*v = 0 (landing in the kernel).
+    Lambda), epsilon the least d with d*v = 0 (landing in the kernel).  Both
+    are found by trying every d in turn, and epsilon's search does not assume
+    it is delta or 2*delta: that is one of the things the oracle checks.
     """
     _require_even(order)
     half = order // 2
-    v %= order
-    delta = epsilon = None
-    multiple = 0
-    d = 0
-    while epsilon is None:
-        d += 1
-        multiple = (multiple + v) % order
-        if delta is None and multiple in (0, half):
-            delta = d
-        if multiple == 0:
-            epsilon = d
+    delta = next(d for d in range(1, order + 1) if d * v % order in (0, half))
+    epsilon = next(d for d in range(delta, order + 1) if d * v % order == 0)
     assert half % delta == 0 and order % epsilon == 0
     return delta, epsilon
 

@@ -32,7 +32,7 @@ MUTANTS = [
     ("census.py", "for k in units(m)]", "for k in range(1, m)]", "test_census.py"),
     ("census.py", "(0 if plus else 2,)", "(0 if plus else 1,)", "test_census.py"),
     # Signature search: a period no smaller than the last, and the period cap.
-    ("census.py", "for j in range(i, bisect", "for j in range(i + 1, bisect", "test_census.py"),
+    ("census.py", "range(i, bisect", "range(i + 1, bisect", "test_census.py"),
     ("census.py", "bisect.bisect_right(costs, left)", "bisect.bisect_left(costs, left)",
      "test_census.py"),
     ("census.py", "(MAX_PERIODS + 1) * costs[0]", "MAX_PERIODS * costs[0]", "test_census.py"),
@@ -124,6 +124,12 @@ MUTANTS = [
     # Parser: the lower bound on the first period of a list.
     ("signature.py", "values.append(integer(what, 2))\n            while",
      "values.append(integer(what))\n            while", "test_signature.py"),
+    # The oracle's exponents are their definitions, and it reports a twist
+    # disagreement; the signature search counts what it builds.
+    ("oracle.py", "range(delta, order + 1)", "range(delta + 1, order + 1)", "test_oracle.py"),
+    ("oracle.py", "in (0, half)", "== half", "test_oracle.py"),
+    ("oracle.py", "if twisted != formula.twisted:", "if False:", "test_cli.py"),
+    ("census.py", "built > MAX_CANDIDATES", "built > MAX_CANDIDATES * 10**9", "test_census.py"),
 ]
 
 

@@ -122,6 +122,50 @@ def test_enumerate_signatures_caps_the_period_count(monkeypatch):
     assert NecSignature(38, Sign.MINUS) in enumerate_signatures(1, 40)
 
 
+def _reference_walk_size(order, max_genus):
+    # The walk builds every tuple (sign, genus, cycles, nondecreasing
+    # divisors) with kernel genus p <= max_genus, p >= 3 or not: each starts
+    # at p <= max_genus and extends only while p stays there.  Counted here
+    # from the orbifold measure, p = M*measure + 2, under the loose bounds
+    # of _reference_signatures.
+    divisors = [m for m in range(2, order + 1) if order % m == 0]
+    budget = Fraction(max_genus - 2, order) + 2
+    count = 0
+    for sign in Sign:
+        for genus in range(sign is Sign.MINUS, int(budget) + 1):
+            for cycles in range(int(budget - genus) + 1 if order % 2 == 0 else 1):
+                for r in range(int(2 * (budget - genus - cycles)) + 1):
+                    for periods in itertools.combinations_with_replacement(divisors, r):
+                        sig = NecSignature(genus, sign, periods, cycles)
+                        count += order * orbifold_measure(sig) + 2 <= max_genus
+    return count
+
+
+@pytest.mark.parametrize("order, max_genus", [(1, 30), (4, 16), (6, 12), (9, 20), (12, 20)])
+def test_enumerate_signatures_bounds_the_tuples_it_builds(monkeypatch, order, max_genus):
+    # The bound is exact: the search runs when it builds MAX_CANDIDATES
+    # tuples and is refused, before any signature is built, at one fewer.
+    size = _reference_walk_size(order, max_genus)
+    expected = enumerate_signatures(order, max_genus)
+    monkeypatch.setattr(necfix.census, "MAX_CANDIDATES", size)
+    assert enumerate_signatures(order, max_genus) == expected
+    monkeypatch.setattr(necfix.census, "MAX_CANDIDATES", size - 1)
+
+    def no_signature(*args):
+        raise AssertionError("a signature was built past the bound")
+
+    monkeypatch.setattr(necfix.census, "NecSignature", no_signature)
+    message = (f"the signature search at order {order} up to max genus {max_genus} "
+               f"builds more than {size - 1} period tuples")
+    with pytest.raises(ValueError, match=message):
+        enumerate_signatures(order, max_genus)
+
+
+def test_enumerate_signatures_rejects_non_positive_order():
+    with pytest.raises(ValueError, match="order must be positive, got 0"):
+        enumerate_signatures(0, 10)
+
+
 def test_census_at_order_one():
     rows, _ = run_census(1, 20)
     assert len(rows) == 18

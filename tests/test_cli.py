@@ -181,23 +181,28 @@ def test_enumerate_over_the_candidate_bound_exits_2_at_once(capsys, monkeypatch,
 def test_census_and_max_order_share_the_candidate_bound(tmp_path, capsys, monkeypatch):
     import necfix.census as census
 
+    # The signature search at order 5 up to genus 5 builds 9 tuples, within
+    # the bound; the first signature over it is refused.
     monkeypatch.setattr(census, "MAX_CANDIDATES", 10)
     path = tmp_path / "rows.csv"
     path.write_bytes(b"#trailer,rows=0,sha256=old\n")
     code, out, err = run_cli(
-        capsys, "census", "--order", "4", "--max-genus", "6", "--format", "csv",
+        capsys, "census", "--order", "5", "--max-genus", "5", "--format", "csv",
         "--output", str(path),
     )
     assert code == 2
     assert out == ""
-    assert err == ("error: (0;+;[];{()()()}) has 16 candidate maps at order 4, "
+    assert err == ("error: (1;-;[5,5];{}) has 16 candidate maps at order 5, "
                    "above the limit of 10\n")
     assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
+    # max-order's first search, at order 8, builds 7 tuples before any
+    # period: the search bound refuses it before any signature's maps.
     monkeypatch.setattr(census, "MAX_CANDIDATES", 1)
     code, out, err = run_cli(capsys, "max-order", "3")
     assert code == 2
     assert out == ""
-    assert err == "error: (0;+;[2,3];{()}) has 2 candidate maps at order 6, above the limit of 1\n"
+    assert err == ("error: the signature search at order 8 up to max genus 3 builds more "
+                   "than 1 period tuples; a census that large cannot be enumerated\n")
 
 
 @pytest.mark.parametrize("order", ["0", "-4"])
@@ -471,6 +476,91 @@ def test_census_with_too_many_periods_exits_2_at_once(tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: more than 64 periods fit under max genus 100000")
     assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
+
+
+@pytest.mark.parametrize("order, max_genus", [("720720", "3000000"), ("1", "100000000")])
+def test_census_over_the_search_bound_exits_2_at_once(capsys, order, max_genus):
+    # At 720720 one period multiplies a level by up to 239 divisors; order 1
+    # has no periods, but 1.5*10^8 (sign, genus) pairs.  Both are counted
+    # before they are built.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "census", "--order", order, "--max-genus", max_genus)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: the signature search at order {order} up to max genus {max_genus} "
+                   "builds more than 1000000 period tuples; a census that large cannot be "
+                   "enumerated\n")
+
+
+HUGE = 10**7
+HUGE_ACTION = ("(0;+;[10000000,10000000,2];{()})", "--order", str(HUGE),
+               "--map", f"x=1,1,{HUGE // 2};e={HUGE // 2 - 2}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--all-v", "--order", "100000000"),
+     "the oracle at order 100000000 takes about 10000000000000000 steps"),
+    (("verify", *HUGE_ACTION), f"the oracle at order {HUGE} takes about {HUGE ** 2} steps"),
+    (("analyze", *HUGE_ACTION), f"a report at order {HUGE} has {HUGE - 1} power rows"),
+], ids=["verify-all-v", "verify", "analyze"])
+def test_verify_and_analyze_refuse_huge_orders_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}, above the limit of 1000000\n"
+
+
+def test_verify_and_analyze_bounds_are_exact(capsys, monkeypatch):
+    import necfix.cli as cli
+
+    # verify takes about M^2 oracle steps, analyze reports M - 1 powers.
+    monkeypatch.setattr(cli, "MAX_CANDIDATES", 16)
+    assert run_cli(capsys, "verify", "--all-v", "--order", "4")[0] == 0
+    assert run_cli(capsys, "verify", "--all-v", "--order", "6")[0] == 2
+    action = ("(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,2;e=5")
+    monkeypatch.setattr(cli, "MAX_CANDIDATES", 13)
+    assert run_cli(capsys, "analyze", *action)[0] == 0
+    monkeypatch.setattr(cli, "MAX_CANDIDATES", 12)
+    code, out, err = run_cli(capsys, "analyze", *action)
+    assert (code, out) == (2, "")
+    assert err == "error: a report at order 14 has 13 power rows, above the limit of 12\n"
+
+
+def test_analyze_order_zero_exits_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "(0;+;[2,7];{()})", "--order", "0",
+                             "--map", "x=7,2;e=5")
+    assert (code, out, err) == (2, "", "error: modulus must be positive, got 0\n")
+
+
+def test_verify_reports_twist_and_epsilon_disagreements(capsys, monkeypatch):
+    import necfix.oracle as oracle
+    from necfix.fixedpoints import CycleOvals, cycle_ovals
+
+    def flipped(order, v):
+        right = cycle_ovals(order, v)
+        return CycleOvals(v, right.oval_count, not right.twisted)
+
+    # The oracle's gcd criterion is inverted: the twist check fails.
+    monkeypatch.setattr(oracle, "cycle_ovals", flipped)
+    code, out, err = run_cli(capsys, "verify", "(0;+;[2,7];{()})", "--order", "14",
+                             "--map", "x=7,2;e=5")
+    assert code == 3
+    assert out == "(0;+;[2,7];{()}) M=14: agreement=False\n"
+    assert err == ("first disagreement: cycle 1 (v=5): twist oracle True, "
+                   "gcd criterion False\n")
+    monkeypatch.undo()
+
+    # epsilon = 3*delta: the exponent law fails before the twist does.
+    exponents = oracle.exponents
+    monkeypatch.setattr(oracle, "exponents",
+                        lambda order, v: (exponents(order, v)[0], 3 * exponents(order, v)[0]))
+    code, out, err = run_cli(capsys, "verify", "--all-v", "--order", "4")
+    assert code == 3
+    assert out == "order 4: swept v=0..3, agreement=False\n"
+    assert err == "first disagreement: v=0: epsilon 3 not in {delta, 2*delta}\n"
 
 
 def test_census_disagreement_exits_3(capsys, monkeypatch):

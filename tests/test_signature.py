@@ -94,6 +94,12 @@ def test_constructor_rejects_bad_data():
         NecSignature(0, Sign.PLUS, (1,))
     with pytest.raises(ValueError):
         NecSignature(0, Sign.PLUS, (), 0, ((),))
+    with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
+        NecSignature(-1, Sign.PLUS)
+    with pytest.raises(ValueError, match="empty cycle count must be non-negative, got -1"):
+        NecSignature(0, Sign.PLUS, (), -1)
+    with pytest.raises(ValueError, match="link period must be at least 2, got 1"):
+        NecSignature(0, Sign.PLUS, (), 0, ((2, 1),))
 
 
 @given(signatures(allow_links=True))
