@@ -37,8 +37,20 @@ class CensusRow:
     canonical: bool
 
 
-MAX_PERIODS = 64
 MAX_CANDIDATES = 10**6
+
+
+def check_budget(count, what):
+    """The one size bound of every search, census, report and oracle run."""
+    if count > MAX_CANDIDATES:
+        raise ValueError(f"{what}, above the limit of {MAX_CANDIDATES}")
+
+
+def _small_divisors(n):
+    """The divisors of n up to its square root, by budgeted trial division."""
+    root = math.isqrt(n)
+    check_budget(root, f"trial division of {n} takes {root} steps")
+    return [d for d in range(1, root + 1) if n % d == 0]
 
 
 def enumerate_signatures(order, max_genus):
@@ -53,23 +65,23 @@ def enumerate_signatures(order, max_genus):
     At an odd order no signature has a period cycle: a reflection must map
     to an element of order 2, which an odd cyclic group lacks.
 
-    Raises ValueError when more than MAX_PERIODS periods fit under the bound,
-    (max_genus - 2) + 2*order >= (MAX_PERIODS + 1)*(order - order/m_1):
-    the glide signature (32;-;[];{}) then lies in range too, and its
-    order**32 image tuples could not be enumerated.  Raises ValueError too,
-    before any signature is built, when the search would build more than
-    MAX_CANDIDATES period tuples (kept or not).
+    Raises ValueError, before any signature is built, when the budget
+    refuses the divisor scan, the order**(top - 1) maps of the glide
+    signature (top;-;[];{}), in range once top = 2 + (max_genus - 2)//order
+    is 3 or more (which leaves room for at most 41 periods at order 2 or
+    more), or the period tuples the search builds, kept or not.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     out = []
-    small = [m for m in range(1, math.isqrt(order) + 1) if order % m == 0]
+    small = _small_divisors(order)
     divisors = sorted({*small, *(order // m for m in small)} - {1})
     costs = [order - order // m for m in divisors]
-    if divisors and max_genus - 2 + 2 * order >= (MAX_PERIODS + 1) * costs[0]:
-        raise ValueError(f"more than {MAX_PERIODS} periods fit under max genus {max_genus} "
-                         f"at order {order}; a census that large cannot be enumerated")
     top = 2 + (max_genus - 2) // order
+    search = f"the signature search at order {order} up to max genus {max_genus}"
+    if top >= 3:  # The capped exponent is exact: order >= 2 whenever this refuses.
+        check_budget(order ** min(top - 1, MAX_CANDIDATES.bit_length()),
+                     f"{search} reaches ({top};-;[];{{}}) with {order}^{top - 1} candidate maps")
     signs = ((Sign.PLUS, 2, range(0, top // 2 + 1)), (Sign.MINUS, 1, range(1, top + 1)))
     # Each (sign, genus, cycle count) with alpha*genus + cycles <= top starts
     # one walk, counted here before any is built; an odd order takes one
@@ -94,11 +106,7 @@ def enumerate_signatures(order, max_genus):
                             for periods, _, left in level if left <= max_genus - 3]
                     spans = [range(i, bisect.bisect_right(costs, left)) for _, i, left in level]
                     built += sum(map(len, spans))
-                    if built > MAX_CANDIDATES:
-                        raise ValueError(
-                            f"the signature search at order {order} up to max genus {max_genus} "
-                            f"builds more than {MAX_CANDIDATES} period tuples; a census that "
-                            f"large cannot be enumerated")
+                    check_budget(built, f"{search} builds at least {built} period tuples")
                     level = [(periods + (divisors[j],), j, left - costs[j])
                              for (periods, _, left), span in zip(level, spans) for j in span]
     return [NecSignature(*args) for args in out]
@@ -110,21 +118,16 @@ def _iter_epimorphisms(sig, order):
     and the long relation (weight 1 for x and e, 2 for glides, 0 for a/b)
     fixes the last e image (sign '+') or glide (sign '-', none or two roots
     at even order), so a map is built only when it holds; validate decides
-    the rest.  Sign '+' without cycles has no map: nothing reverses orientation.
-
-    Raises ValueError, before building any map, when the free image tuples
-    number more than MAX_CANDIDATES."""
+    the rest.  The budget refuses candidate_count before any map is built."""
+    size = candidate_count(sig, order)
+    check_budget(size, f"{format_signature(sig)} has {size} candidate maps at order {order}")
+    if not size:
+        return
     cycles = sig.empty_cycles
     plus = sig.sign is Sign.PLUS
-    if sig.nonempty_cycles or (cycles and order % 2) or (plus and not cycles):
-        return
     r = len(sig.periods)
-    x_slots = [[order // m * k for k in units(m)] if order % m == 0 else [] for m in sig.periods]
+    x_slots = [[order // m * k for k in units(m)] for m in sig.periods]
     n_orient = 2 * sig.genus if plus else sig.genus
-    size = math.prod(map(len, x_slots)) * order ** (cycles + n_orient - 1)
-    if size > MAX_CANDIDATES:
-        raise ValueError(f"{format_signature(sig)} has {size} candidate maps at order {order}, "
-                         f"above the limit of {MAX_CANDIDATES}")
     solved = r + cycles - 1 if plus else r + cycles + n_orient - 1
     weights = (1,) * (r + cycles) + (0 if plus else 2,) * n_orient
     weights = weights[:solved] + weights[solved + 1 :]
@@ -143,6 +146,34 @@ def _iter_epimorphisms(sig, order):
             epi = CyclicEpimorphism(sig, order, xs, es, c_fixed, orient)
             if validate(epi).valid:
                 yield epi
+
+
+def candidate_count(sig, order):
+    """The free image tuples _iter_epimorphisms tries, prod phi(m_i) *
+    order**(k + n - 1), or 0 when a period does not divide the order, a
+    reflection meets an odd order, or no sign '+' generator reverses
+    orientation."""
+    cycles = sig.empty_cycles
+    plus = sig.sign is Sign.PLUS
+    if (sig.nonempty_cycles or (cycles and order % 2) or (plus and not cycles)
+            or any(order % m for m in sig.periods)):
+        return 0
+    n_orient = 2 * sig.genus if plus else sig.genus
+    return math.prod(map(_phi, sig.periods)) * order ** (cycles + n_orient - 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _phi(m):
+    """Euler's phi, m times 1 - 1/p for each prime p dividing m: a small
+    divisor still dividing what its smaller primes leave is prime, and at
+    most one prime above the square root is left over."""
+    phi = rest = m
+    for d in _small_divisors(m)[1:]:
+        if rest % d == 0:
+            phi -= phi // d
+            while rest % d == 0:
+                rest //= d
+    return phi - phi // rest if rest > 1 else phi
 
 
 @functools.lru_cache(maxsize=64)
@@ -231,7 +262,11 @@ def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
     the task count or the CPU count.
     """
     check_census_args(order, workers)
-    tasks = [(sig, order, up_to_aut, verify) for sig in enumerate_signatures(order, max_genus)]
+    signatures = enumerate_signatures(order, max_genus)
+    total = sum(1 + candidate_count(sig, order) for sig in signatures)
+    check_budget(total, f"the census at order {order} up to max genus {max_genus} counts "
+                        f"{total} signatures and candidate maps")
+    tasks = [(sig, order, up_to_aut, verify) for sig in signatures]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: loading the pool's modules slows every start-up.

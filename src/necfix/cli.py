@@ -20,9 +20,9 @@ from contextlib import nullcontext
 
 from .census import (
     CSV_COLUMNS,
-    MAX_CANDIDATES,
     CensusRow,
     census_row_csv,
+    check_budget,
     check_census_args,
     enumerate_epimorphisms,
     is_canonical,
@@ -68,9 +68,7 @@ def _print_report_table(sig_text, order, report):
 
 def _cmd_analyze(args):
     # A report has one row for each power t^i, 0 < i < M.
-    if args.order - 1 > MAX_CANDIDATES:
-        raise ValueError(f"a report at order {args.order} has {args.order - 1} power rows, "
-                         f"above the limit of {MAX_CANDIDATES}")
+    check_budget(args.order - 1, f"a report at order {args.order} has {args.order - 1} power rows")
     sig = parse_signature(args.signature)
     epi = parse_map_text(sig, args.order, args.map_text)
     validation = validate(epi)
@@ -156,9 +154,8 @@ def _cmd_census(args):
 def _cmd_verify(args):
     # The oracle takes about M^2 steps: a closure for each v, or a coset
     # walk over Z_M for each power.
-    if args.order * args.order > MAX_CANDIDATES:
-        raise ValueError(f"the oracle at order {args.order} takes about {args.order ** 2} steps, "
-                         f"above the limit of {MAX_CANDIDATES}")
+    steps = args.order**2
+    check_budget(steps, f"the oracle at order {args.order} takes about {steps} steps")
     if args.all_v:
         if args.signature or args.map_text:
             raise ValueError("--all-v sweeps every v at --order; drop the signature and --map")

@@ -31,13 +31,13 @@ MUTANTS = [
     ("census.py", "for k in units(m)]", "for k in units(m)[1:]]", "test_census.py"),
     ("census.py", "for k in units(m)]", "for k in range(1, m)]", "test_census.py"),
     ("census.py", "(0 if plus else 2,)", "(0 if plus else 1,)", "test_census.py"),
-    # Signature search: a period no smaller than the last, and the period cap.
+    # Signature search: a period no smaller than the last, and the glide
+    # rule, which also caps the period count.
     ("census.py", "range(i, bisect", "range(i + 1, bisect", "test_census.py"),
     ("census.py", "bisect.bisect_right(costs, left)", "bisect.bisect_left(costs, left)",
      "test_census.py"),
-    ("census.py", "(MAX_PERIODS + 1) * costs[0]", "MAX_PERIODS * costs[0]", "test_census.py"),
-    ("census.py", "(MAX_PERIODS + 1) * costs[0]", "(MAX_PERIODS + 2) * costs[0]",
-     "test_census.py"),
+    ("census.py", "if top >= 3:", "if top >= 4:", "test_census.py"),
+    ("census.py", "order ** min(top - 1,", "order ** min(top,", "test_census.py"),
     # Signature search in integers: p >= 3, and the genus left at the start.
     ("census.py", "left <= max_genus - 3", "left <= max_genus - 2", "test_census.py"),
     ("census.py", "max_genus - 2 - order * (", "max_genus - 1 - order * (", "test_census.py"),
@@ -117,7 +117,7 @@ MUTANTS = [
     ("cli.py", "_add_format(_p, _cmd_census)", "_add_format(_p, _cmd_enumerate)", "test_cli.py"),
     # A signature with too many candidates exits 2 before building any, a
     # census disagreement names its order, and map text keeps every a/b image.
-    ("census.py", "size > MAX_CANDIDATES", "size > MAX_CANDIDATES * 10**9", "test_cli.py"),
+    ("census.py", "check_budget(size,", "check_budget(0,", "test_cli.py"),
     ("census.py", " M={order} {format_map_text(row.epi)}", " {format_map_text(row.epi)}",
      "test_cli.py"),
     ("epimorphism.py", "if len(a) != len(b):", "if False:", "test_epimorphism.py"),
@@ -129,7 +129,11 @@ MUTANTS = [
     ("oracle.py", "range(delta, order + 1)", "range(delta + 1, order + 1)", "test_oracle.py"),
     ("oracle.py", "in (0, half)", "== half", "test_oracle.py"),
     ("oracle.py", "if twisted != formula.twisted:", "if False:", "test_cli.py"),
-    ("census.py", "built > MAX_CANDIDATES", "built > MAX_CANDIDATES * 10**9", "test_census.py"),
+    ("census.py", "check_budget(built,", "check_budget(0,", "test_census.py"),
+    # A census is refused on its summed candidates, and phi keeps the prime
+    # left above the square root.
+    ("census.py", "check_budget(total,", "check_budget(0,", "test_cli.py"),
+    ("census.py", "if rest > 1 else", "if rest > 2 else", "test_census.py"),
 ]
 
 

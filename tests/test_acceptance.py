@@ -149,11 +149,11 @@ def test_criterion_6_fixed_point_recount():
 
 def test_criterion_7_maximal_orders():
     budget = _Budget(300.0)
-    for p in (3, 5, 7):
-        assert max_cyclic_order(p) == 2 * p
-    for p in (4, 6, 8):
-        assert max_cyclic_order(p) == 2 * (p - 1)
-    _passed(7, "max order is 2p for p in {3,5,7} and 2(p-1) for p in {4,6,8}", budget)
+    # The search descends from 2p + 2, where top = 2 + (p - 2) // M is 2, so
+    # the glide rule of the signature search never refuses it.
+    for p in range(3, 61):
+        assert max_cyclic_order(p, cap=60) == (2 * p if p % 2 else 2 * (p - 1))
+    _passed(7, "max order is 2p for odd p and 2(p-1) for even p, 3 <= p <= 60", budget)
 
 
 def test_criterion_8_scherrer_bound_global():

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from necfix import (
 )
 from necfix.census import (
     CensusRow,
+    candidate_count,
     is_canonical,
     shadow_key,
     to_json,
@@ -108,17 +110,26 @@ def test_enumerate_signatures_matches_reference(max_genus):
         assert enumerate_signatures(order, max_genus) == _reference_signatures(order, max_genus)
 
 
-def test_enumerate_signatures_caps_the_period_count(monkeypatch):
-    # At order 2 every period costs 1/2, so bound 63 leaves room for 65
-    # periods; it also puts (32;-;[];{}) and its 2**32 image tuples in range.
-    with pytest.raises(ValueError, match="more than 64 periods"):
-        enumerate_signatures(2, 63)
-    # The cap is exact: at order 2, bound 4 fits 6 periods and bound 5 fits 7.
-    monkeypatch.setattr(necfix.census, "MAX_PERIODS", 6)
-    assert max(len(sig.periods) for sig in enumerate_signatures(2, 4)) == 6
-    with pytest.raises(ValueError, match="more than 6 periods"):
-        enumerate_signatures(2, 5)
-    # Order 1 has no divisors, so no period fits and the cap never applies.
+def test_enumerate_signatures_caps_the_period_count():
+    # Once top = 2 + (G - 2) // M is 3 or more, the glide signature
+    # (top;-;[];{}) is in range with M**(top - 1) candidate maps, and the
+    # search is refused when they are over the bound.  The rule is exact: at
+    # order 1000 they are 10**6, the bound itself, up to genus 2001, and
+    # 1000**3 from genus 2002; at order 1001, (3;-;[];{}) is already over.
+    assert NecSignature(3, Sign.MINUS) in enumerate_signatures(1000, 2001)
+    with pytest.raises(ValueError, match=re.escape(
+            "the signature search at order 1000 up to max genus 2002 reaches (4;-;[];{}) "
+            "with 1000^3 candidate maps, above the limit of 1000000")):
+        enumerate_signatures(1000, 2002)
+    with pytest.raises(ValueError, match=re.escape("(3;-;[];{}) with 1001^2 candidate")):
+        enumerate_signatures(1001, 2003)
+    # It caps the period count: at order 2 each period costs 1, and the rule
+    # passes up to genus 39, where 41 periods fit, but not at genus 40.
+    assert max(len(sig.periods) for sig in enumerate_signatures(2, 39)) == 41
+    with pytest.raises(ValueError, match=re.escape("(21;-;[];{}) with 2^20 candidate")):
+        enumerate_signatures(2, 40)
+    # Order 1 has no divisors and one candidate per glide signature, so the
+    # rule never applies.
     assert NecSignature(38, Sign.MINUS) in enumerate_signatures(1, 40)
 
 
@@ -141,10 +152,12 @@ def _reference_walk_size(order, max_genus):
     return count
 
 
-@pytest.mark.parametrize("order, max_genus", [(1, 30), (4, 16), (6, 12), (9, 20), (12, 20)])
+@pytest.mark.parametrize("order, max_genus", [(1, 30), (4, 16), (6, 12), (15, 16), (12, 20)])
 def test_enumerate_signatures_bounds_the_tuples_it_builds(monkeypatch, order, max_genus):
     # The bound is exact: the search runs when it builds MAX_CANDIDATES
     # tuples and is refused, before any signature is built, at one fewer.
+    # Each grid's glide signature has fewer candidate maps than that, or is
+    # out of range (top = 2 at (15, 16)), so the glide rule never fires first.
     size = _reference_walk_size(order, max_genus)
     expected = enumerate_signatures(order, max_genus)
     monkeypatch.setattr(necfix.census, "MAX_CANDIDATES", size)
@@ -156,9 +169,18 @@ def test_enumerate_signatures_bounds_the_tuples_it_builds(monkeypatch, order, ma
 
     monkeypatch.setattr(necfix.census, "NecSignature", no_signature)
     message = (f"the signature search at order {order} up to max genus {max_genus} "
-               f"builds more than {size - 1} period tuples")
+               f"builds at least {size} period tuples, above the limit of {size - 1}")
     with pytest.raises(ValueError, match=message):
         enumerate_signatures(order, max_genus)
+
+
+def test_candidate_count_takes_phi_from_prime_factors():
+    # (0;+;[m];{()}) at order 2m has one free x image per unit of Z_m.
+    for m in range(2, 400):
+        assert candidate_count(NecSignature(0, Sign.PLUS, (m,), 1), 2 * m) == len(units(m))
+    # The signatures _iter_epimorphisms skips count 0.
+    for text, order in [("(0;+;[2,3];{})", 6), ("(1;-;[4];{()})", 6), ("(1;-;[2];{()})", 3)]:
+        assert candidate_count(parse_signature(text), order) == 0
 
 
 def test_enumerate_signatures_rejects_non_positive_order():

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -149,9 +150,14 @@ def test_enumerate_csv_and_table(capsys, fmt, lines):
     assert out.splitlines() == lines
 
 
+PRIME = 2**61 - 1
+
+
 @pytest.mark.parametrize("signature, order, size", [
     ("(0;+;[2,2];{()()})", "100000000", 100000000),
     ("(3;+;[2];{()})", "12", 2985984),
+    ("(0;+;[3000000,3000000];{()})", "3000000", 800000**2),
+    (f"(0;+;[{PRIME},{PRIME},2];{{()}})", str(2 * PRIME), None),
 ])
 def test_enumerate_over_the_candidate_bound_exits_2_at_once(capsys, monkeypatch,
                                                            signature, order, size):
@@ -159,6 +165,9 @@ def test_enumerate_over_the_candidate_bound_exits_2_at_once(capsys, monkeypatch,
 
     # Without the bound, product would first copy range(10**8) into a tuple;
     # failing there keeps a missing bound from allocating gigabytes here.
+    # The count takes phi of each period from its prime factors, never
+    # listing its units; a prime period's trial division (size None) is
+    # itself refused, at about sqrt(period) steps.
     def no_product(*slots):
         raise AssertionError("candidates were built past the bound")
 
@@ -174,15 +183,17 @@ def test_enumerate_over_the_candidate_bound_exits_2_at_once(capsys, monkeypatch,
     assert peak < 1_000_000
     assert code == 2
     assert out == ""
-    assert err == (f"error: {signature} has {size} candidate maps at order {order}, "
-                   "above the limit of 1000000\n")
+    what = (f"{signature} has {size} candidate maps at order {order}" if size
+            else f"trial division of {PRIME} takes {math.isqrt(PRIME)} steps")
+    assert err == f"error: {what}, above the limit of 1000000\n"
 
 
 def test_census_and_max_order_share_the_candidate_bound(tmp_path, capsys, monkeypatch):
     import necfix.census as census
 
     # The signature search at order 5 up to genus 5 builds 9 tuples, within
-    # the bound; the first signature over it is refused.
+    # the bound, but its two signatures and their 0 + 16 candidate maps are
+    # over it, so the census is refused before any map is built.
     monkeypatch.setattr(census, "MAX_CANDIDATES", 10)
     path = tmp_path / "rows.csv"
     path.write_bytes(b"#trailer,rows=0,sha256=old\n")
@@ -192,17 +203,17 @@ def test_census_and_max_order_share_the_candidate_bound(tmp_path, capsys, monkey
     )
     assert code == 2
     assert out == ""
-    assert err == ("error: (1;-;[5,5];{}) has 16 candidate maps at order 5, "
-                   "above the limit of 10\n")
+    assert err == ("error: the census at order 5 up to max genus 5 counts 18 signatures "
+                   "and candidate maps, above the limit of 10\n")
     assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
-    # max-order's first search, at order 8, builds 7 tuples before any
-    # period: the search bound refuses it before any signature's maps.
-    monkeypatch.setattr(census, "MAX_CANDIDATES", 1)
+    # max-order's first search, at order 8, builds 7 starts and 3 tuples of
+    # one period: the search bound refuses it before any signature's maps.
+    monkeypatch.setattr(census, "MAX_CANDIDATES", 2)
     code, out, err = run_cli(capsys, "max-order", "3")
     assert code == 2
     assert out == ""
-    assert err == ("error: the signature search at order 8 up to max genus 3 builds more "
-                   "than 1 period tuples; a census that large cannot be enumerated\n")
+    assert err == ("error: the signature search at order 8 up to max genus 3 builds at "
+                   "least 10 period tuples, above the limit of 2\n")
 
 
 @pytest.mark.parametrize("order", ["0", "-4"])
@@ -462,8 +473,9 @@ def test_census_interrupted_run_keeps_existing_output(tmp_path, monkeypatch):
 
 
 def test_census_with_too_many_periods_exits_2_at_once(tmp_path, capsys):
-    # Genus 100000 at order 4 leaves room for 50,003 periods; the search
-    # refuses before building a signature, and --output keeps its bytes.
+    # Genus 100000 at order 4 leaves room for 50,003 periods, and puts the
+    # glide signature (25001;-;[];{}) in range; the search refuses before
+    # building a signature, and --output keeps its bytes.
     path = tmp_path / "rows.csv"
     path.write_bytes(b"#trailer,rows=0,sha256=old\n")
     start = time.perf_counter()
@@ -473,24 +485,39 @@ def test_census_with_too_many_periods_exits_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: more than 64 periods fit under max genus 100000")
+    assert err == ("error: the signature search at order 4 up to max genus 100000 reaches "
+                   "(25001;-;[];{}) with 4^25000 candidate maps, above the limit of "
+                   "1000000\n")
     assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
 
 
-@pytest.mark.parametrize("order, max_genus", [("720720", "3000000"), ("1", "100000000")])
+# Each is refused by one count, before what it counts is built.  At order
+# 720720 (239 divisors) and 5040 the glide signature is over the bound; order
+# 1 has no periods, but 1.5*10^8 (sign, genus) starts; order 10^18 would scan
+# 10^9 divisor candidates; and at order 2 up to genus 30 the search passes,
+# but its 2,450 signatures sum to 4,077,836 candidate maps.
+# Each text is formatted with the order and max genus.
+SEARCH = "the signature search at order {} up to max genus {}"
+HOSTILE_CENSUS = {
+    ("720720", "3000000"): SEARCH + " reaches (6;-;[];{{}}) with 720720^5 candidate maps",
+    ("1", "100000000"): SEARCH + " builds at least 150000001 period tuples",
+    ("5040", "10000"): SEARCH + " reaches (3;-;[];{{}}) with 5040^2 candidate maps",
+    ("2", "40"): SEARCH + " reaches (21;-;[];{{}}) with 2^20 candidate maps",
+    (str(10**18), "12"): "trial division of {} takes 1000000000 steps",
+    ("2", "30"): "the census at order {} up to max genus {} counts 4080286 signatures and "
+                 "candidate maps",
+}
+
+
+@pytest.mark.parametrize("order, max_genus", list(HOSTILE_CENSUS))
 def test_census_over_the_search_bound_exits_2_at_once(capsys, order, max_genus):
-    # At 720720 one period multiplies a level by up to 239 divisors; order 1
-    # has no periods, but 1.5*10^8 (sign, genus) pairs.  Both are counted
-    # before they are built.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "census", "--order", order, "--max-genus", max_genus)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert err == (f"error: the signature search at order {order} up to max genus {max_genus} "
-                   "builds more than 1000000 period tuples; a census that large cannot be "
-                   "enumerated\n")
+    what = HOSTILE_CENSUS[order, max_genus].format(order, max_genus)
+    assert err == f"error: {what}, above the limit of 1000000\n"
 
 
 HUGE = 10**7
@@ -514,16 +541,16 @@ def test_verify_and_analyze_refuse_huge_orders_at_once(capsys, argv, message):
 
 
 def test_verify_and_analyze_bounds_are_exact(capsys, monkeypatch):
-    import necfix.cli as cli
+    import necfix.census as census
 
     # verify takes about M^2 oracle steps, analyze reports M - 1 powers.
-    monkeypatch.setattr(cli, "MAX_CANDIDATES", 16)
+    monkeypatch.setattr(census, "MAX_CANDIDATES", 16)
     assert run_cli(capsys, "verify", "--all-v", "--order", "4")[0] == 0
     assert run_cli(capsys, "verify", "--all-v", "--order", "6")[0] == 2
     action = ("(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,2;e=5")
-    monkeypatch.setattr(cli, "MAX_CANDIDATES", 13)
+    monkeypatch.setattr(census, "MAX_CANDIDATES", 13)
     assert run_cli(capsys, "analyze", *action)[0] == 0
-    monkeypatch.setattr(cli, "MAX_CANDIDATES", 12)
+    monkeypatch.setattr(census, "MAX_CANDIDATES", 12)
     code, out, err = run_cli(capsys, "analyze", *action)
     assert (code, out) == (2, "")
     assert err == "error: a report at order 14 has 13 power rows, above the limit of 12\n"
