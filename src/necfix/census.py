@@ -40,16 +40,20 @@ class CensusRow:
 MAX_CANDIDATES = 10**6
 
 
-def check_budget(count, what):
-    """The one size bound of every search, census, report and oracle run."""
+def check_budget(count, what, *values):
+    """The one size bound of every search, census, report and oracle run.  Its
+    text, what formatted with the values, is made only on refusal, with each
+    integer of 100 digits or more (str() refuses over 4300) as 10^log10."""
     if count > MAX_CANDIDATES:
-        raise ValueError(f"{what}, above the limit of {MAX_CANDIDATES}")
+        shown = [f"10^{math.log10(v):g}" if isinstance(v, int) and v >= 10**99 else v
+                 for v in values]
+        raise ValueError(f"{what.format(*shown)}, above the limit of {MAX_CANDIDATES}")
 
 
 def _small_divisors(n):
     """The divisors of n up to its square root, by budgeted trial division."""
     root = math.isqrt(n)
-    check_budget(root, f"trial division of {n} takes {root} steps")
+    check_budget(root, "trial division of {} takes {} steps", n, root)
     return [d for d in range(1, root + 1) if n % d == 0]
 
 
@@ -66,10 +70,10 @@ def enumerate_signatures(order, max_genus):
     to an element of order 2, which an odd cyclic group lacks.
 
     Raises ValueError, before any signature is built, when the budget
-    refuses the divisor scan, the order**(top - 1) maps of the glide
-    signature (top;-;[];{}), in range once top = 2 + (max_genus - 2)//order
-    is 3 or more (which leaves room for at most 41 periods at order 2 or
-    more), or the period tuples the search builds, kept or not.
+    refuses the divisor scan or the search's one running count, checked
+    once per level before it is built: 1 per start (sign, genus, cycle
+    count), all counted first, L per period tuple of length L, and
+    1 + candidate_count per signature kept.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
@@ -78,18 +82,14 @@ def enumerate_signatures(order, max_genus):
     divisors = sorted({*small, *(order // m for m in small)} - {1})
     costs = [order - order // m for m in divisors]
     top = 2 + (max_genus - 2) // order
-    search = f"the signature search at order {order} up to max genus {max_genus}"
-    if top >= 3:  # The capped exponent is exact: order >= 2 whenever this refuses.
-        check_budget(order ** min(top - 1, MAX_CANDIDATES.bit_length()),
-                     f"{search} reaches ({top};-;[];{{}}) with {order}^{top - 1} candidate maps")
+    search = ("the signature search at order {} up to max genus {} counts at least {} "
+              "starts, period entries and candidate maps")
     signs = ((Sign.PLUS, 2, range(0, top // 2 + 1)), (Sign.MINUS, 1, range(1, top + 1)))
-    # Each (sign, genus, cycle count) with alpha*genus + cycles <= top starts
-    # one walk, counted here before any is built; an odd order takes one
-    # cycle count per genus, so its count needs no loop.
-    if order % 2:
-        built = sum(len(genera) for _, _, genera in signs)
-    else:
-        built = sum(top - alpha * genus + 1 for _, alpha, genera in signs for genus in genera)
+    # One start per (sign, genus, cycle count) with alpha*genus + cycles <= top,
+    # summed over each range of genera in closed form before any walk.
+    built = sum(len(genera) if order % 2 else
+                len(genera) * (2 * top + 2 - alpha * (genera.start + genera.stop - 1)) // 2
+                for _, alpha, genera in signs)
     for sign, alpha, genera in signs:
         for genus in genera:
             # A reflection needs an involution image, so odd orders take no cycles.
@@ -98,15 +98,17 @@ def enumerate_signatures(order, max_genus):
                 # of its last divisor, left = max_genus - p).  Each extends a
                 # tuple one shorter by a divisor no smaller than its last whose
                 # cost M - M/m still fits (costs rise with m, so bisect finds
-                # the last one), so left >= 0; it is kept if p >= 3.  Each
-                # level is counted, with the walks, before it is built.
+                # the last one), so left >= 0; it is kept if p >= 3.
                 level = [((), 0, max_genus - 2 - order * (alpha * genus + cycles - 2))]
                 while level:
-                    out += [(genus, sign, periods, cycles)
-                            for periods, _, left in level if left <= max_genus - 3]
-                    spans = [range(i, bisect.bisect_right(costs, left)) for _, i, left in level]
-                    built += sum(map(len, spans))
-                    check_budget(built, f"{search} builds at least {built} period tuples")
+                    spans = []
+                    for periods, i, left in level:
+                        if left <= max_genus - 3:
+                            out.append((genus, sign, periods, cycles))
+                            built += 1 + candidate_count(genus, sign, periods, cycles, order)
+                        spans.append(range(i, bisect.bisect_right(costs, left)))
+                    built += (len(level[0][0]) + 1) * sum(map(len, spans))
+                    check_budget(built, search, order, max_genus, built)
                     level = [(periods + (divisors[j],), j, left - costs[j])
                              for (periods, _, left), span in zip(level, spans) for j in span]
     return [NecSignature(*args) for args in out]
@@ -119,8 +121,9 @@ def _iter_epimorphisms(sig, order):
     fixes the last e image (sign '+') or glide (sign '-', none or two roots
     at even order), so a map is built only when it holds; validate decides
     the rest.  The budget refuses candidate_count before any map is built."""
-    size = candidate_count(sig, order)
-    check_budget(size, f"{format_signature(sig)} has {size} candidate maps at order {order}")
+    size = 0 if sig.nonempty_cycles else candidate_count(
+        sig.genus, sig.sign, sig.periods, sig.empty_cycles, order)
+    check_budget(size, "{} has {} candidate maps at order {}", format_signature(sig), size, order)
     if not size:
         return
     cycles = sig.empty_cycles
@@ -148,18 +151,17 @@ def _iter_epimorphisms(sig, order):
                 yield epi
 
 
-def candidate_count(sig, order):
-    """The free image tuples _iter_epimorphisms tries, prod phi(m_i) *
+def candidate_count(genus, sign, periods, cycles, order):
+    """The free image tuples _iter_epimorphisms tries for the signature
+    (genus; sign; periods; cycles empty period cycles), prod phi(m_i) *
     order**(k + n - 1), or 0 when a period does not divide the order, a
     reflection meets an odd order, or no sign '+' generator reverses
-    orientation."""
-    cycles = sig.empty_cycles
-    plus = sig.sign is Sign.PLUS
-    if (sig.nonempty_cycles or (cycles and order % 2) or (plus and not cycles)
-            or any(order % m for m in sig.periods)):
+    orientation.  It takes fields, so the search counts before it builds."""
+    plus = sign is Sign.PLUS
+    if (cycles and order % 2) or (plus and not cycles) or any(order % m for m in periods):
         return 0
-    n_orient = 2 * sig.genus if plus else sig.genus
-    return math.prod(map(_phi, sig.periods)) * order ** (cycles + n_orient - 1)
+    n_orient = 2 * genus if plus else genus
+    return math.prod(map(_phi, periods)) * order ** (cycles + n_orient - 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -259,14 +261,12 @@ def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
     verify is set and an oracle path contradicts a closed-form count.
     Rows come out in deterministic order (signatures sorted, image tuples
     lexicographic) regardless of the worker count.  The pool never exceeds
-    the task count or the CPU count.
+    the task count or the CPU count.  The signature search's running count,
+    which includes every signature's candidate maps, bounds the census: over
+    the budget it raises ValueError before any task starts.
     """
     check_census_args(order, workers)
-    signatures = enumerate_signatures(order, max_genus)
-    total = sum(1 + candidate_count(sig, order) for sig in signatures)
-    check_budget(total, f"the census at order {order} up to max genus {max_genus} counts "
-                        f"{total} signatures and candidate maps")
-    tasks = [(sig, order, up_to_aut, verify) for sig in signatures]
+    tasks = [(sig, order, up_to_aut, verify) for sig in enumerate_signatures(order, max_genus)]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: loading the pool's modules slows every start-up.

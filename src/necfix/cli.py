@@ -68,7 +68,7 @@ def _print_report_table(sig_text, order, report):
 
 def _cmd_analyze(args):
     # A report has one row for each power t^i, 0 < i < M.
-    check_budget(args.order - 1, f"a report at order {args.order} has {args.order - 1} power rows")
+    check_budget(args.order - 1, "a report at order {} has {} power rows", args.order, args.order - 1)
     sig = parse_signature(args.signature)
     epi = parse_map_text(sig, args.order, args.map_text)
     validation = validate(epi)
@@ -155,7 +155,7 @@ def _cmd_verify(args):
     # The oracle takes about M^2 steps: a closure for each v, or a coset
     # walk over Z_M for each power.
     steps = args.order**2
-    check_budget(steps, f"the oracle at order {args.order} takes about {steps} steps")
+    check_budget(steps, "the oracle at order {} takes about {} steps", args.order, steps)
     if args.all_v:
         if args.signature or args.map_text:
             raise ValueError("--all-v sweeps every v at --order; drop the signature and --map")

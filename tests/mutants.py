@@ -31,13 +31,15 @@ MUTANTS = [
     ("census.py", "for k in units(m)]", "for k in units(m)[1:]]", "test_census.py"),
     ("census.py", "for k in units(m)]", "for k in range(1, m)]", "test_census.py"),
     ("census.py", "(0 if plus else 2,)", "(0 if plus else 1,)", "test_census.py"),
-    # Signature search: a period no smaller than the last, and the glide
-    # rule, which also caps the period count.
+    # Signature search: a period no smaller than the last, and one running
+    # count that weighs each period tuple by its length, which caps the
+    # period count, and each kept signature by its candidate maps.
     ("census.py", "range(i, bisect", "range(i + 1, bisect", "test_census.py"),
     ("census.py", "bisect.bisect_right(costs, left)", "bisect.bisect_left(costs, left)",
      "test_census.py"),
-    ("census.py", "if top >= 3:", "if top >= 4:", "test_census.py"),
-    ("census.py", "order ** min(top - 1,", "order ** min(top,", "test_census.py"),
+    ("census.py", "(len(level[0][0]) + 1) *", "1 *", "test_census.py"),
+    ("census.py", "1 + candidate_count(genus, sign, periods, cycles, order)", "1",
+     "test_census.py"),
     # Signature search in integers: p >= 3, and the genus left at the start.
     ("census.py", "left <= max_genus - 3", "left <= max_genus - 2", "test_census.py"),
     ("census.py", "max_genus - 2 - order * (", "max_genus - 1 - order * (", "test_census.py"),
@@ -130,9 +132,7 @@ MUTANTS = [
     ("oracle.py", "in (0, half)", "== half", "test_oracle.py"),
     ("oracle.py", "if twisted != formula.twisted:", "if False:", "test_cli.py"),
     ("census.py", "check_budget(built,", "check_budget(0,", "test_census.py"),
-    # A census is refused on its summed candidates, and phi keeps the prime
-    # left above the square root.
-    ("census.py", "check_budget(total,", "check_budget(0,", "test_cli.py"),
+    # phi keeps the prime left above the square root.
     ("census.py", "if rest > 1 else", "if rest > 2 else", "test_census.py"),
 ]
 

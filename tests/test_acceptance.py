@@ -150,7 +150,7 @@ def test_criterion_6_fixed_point_recount():
 def test_criterion_7_maximal_orders():
     budget = _Budget(300.0)
     # The search descends from 2p + 2, where top = 2 + (p - 2) // M is 2, so
-    # the glide rule of the signature search never refuses it.
+    # the signature search's running count stays far below the budget.
     for p in range(3, 61):
         assert max_cyclic_order(p, cap=60) == (2 * p if p % 2 else 2 * (p - 1))
     _passed(7, "max order is 2p for odd p and 2(p-1) for even p, 3 <= p <= 60", budget)

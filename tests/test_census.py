@@ -111,34 +111,28 @@ def test_enumerate_signatures_matches_reference(max_genus):
 
 
 def test_enumerate_signatures_caps_the_period_count():
-    # Once top = 2 + (G - 2) // M is 3 or more, the glide signature
-    # (top;-;[];{}) is in range with M**(top - 1) candidate maps, and the
-    # search is refused when they are over the bound.  The rule is exact: at
-    # order 1000 they are 10**6, the bound itself, up to genus 2001, and
-    # 1000**3 from genus 2002; at order 1001, (3;-;[];{}) is already over.
-    assert NecSignature(3, Sign.MINUS) in enumerate_signatures(1000, 2001)
+    # A period tuple of length L counts its L entries, so the search's count
+    # grows with the square of the period count.  At order 2 each period
+    # costs 1: up to genus 26 the search runs and 28 periods fit, and at
+    # genus 27 it is refused.  At order 8 it runs up to genus 34.
+    assert max(len(sig.periods) for sig in enumerate_signatures(2, 26)) == 28
     with pytest.raises(ValueError, match=re.escape(
-            "the signature search at order 1000 up to max genus 2002 reaches (4;-;[];{}) "
-            "with 1000^3 candidate maps, above the limit of 1000000")):
-        enumerate_signatures(1000, 2002)
-    with pytest.raises(ValueError, match=re.escape("(3;-;[];{}) with 1001^2 candidate")):
-        enumerate_signatures(1001, 2003)
-    # It caps the period count: at order 2 each period costs 1, and the rule
-    # passes up to genus 39, where 41 periods fit, but not at genus 40.
-    assert max(len(sig.periods) for sig in enumerate_signatures(2, 39)) == 41
-    with pytest.raises(ValueError, match=re.escape("(21;-;[];{}) with 2^20 candidate")):
-        enumerate_signatures(2, 40)
-    # Order 1 has no divisors and one candidate per glide signature, so the
-    # rule never applies.
-    assert NecSignature(38, Sign.MINUS) in enumerate_signatures(1, 40)
+            "the signature search at order 2 up to max genus 27 counts at least 1003785 starts, "
+            "period entries and candidate maps, above the limit of 1000000")):
+        enumerate_signatures(2, 27)
+    assert NecSignature(5, Sign.MINUS) in enumerate_signatures(8, 34)
+    with pytest.raises(ValueError, match=re.escape("up to max genus 35 counts at least 1000284")):
+        enumerate_signatures(8, 35)
 
 
-def _reference_walk_size(order, max_genus):
-    # The walk builds every tuple (sign, genus, cycles, nondecreasing
+def _reference_search_count(order, max_genus):
+    # The search counts one per start, the L entries of each period tuple of
+    # length L it builds, and 1 + candidate_count for each signature it
+    # keeps.  It builds every tuple (sign, genus, cycles, nondecreasing
     # divisors) with kernel genus p <= max_genus, p >= 3 or not: each starts
-    # at p <= max_genus and extends only while p stays there.  Counted here
-    # from the orbifold measure, p = M*measure + 2, under the loose bounds
-    # of _reference_signatures.
+    # at p <= max_genus (the empty tuple, one per start) and extends only
+    # while p stays there.  Counted here from the orbifold measure,
+    # p = M*measure + 2, under the loose bounds of _reference_signatures.
     divisors = [m for m in range(2, order + 1) if order % m == 0]
     budget = Fraction(max_genus - 2, order) + 2
     count = 0
@@ -148,17 +142,20 @@ def _reference_walk_size(order, max_genus):
                 for r in range(int(2 * (budget - genus - cycles)) + 1):
                     for periods in itertools.combinations_with_replacement(divisors, r):
                         sig = NecSignature(genus, sign, periods, cycles)
-                        count += order * orbifold_measure(sig) + 2 <= max_genus
+                        p = order * orbifold_measure(sig) + 2
+                        if p <= max_genus:
+                            count += r or 1
+                        if 3 <= p <= max_genus:
+                            count += 1 + candidate_count(genus, sign, periods, cycles, order)
     return count
 
 
-@pytest.mark.parametrize("order, max_genus", [(1, 30), (4, 16), (6, 12), (15, 16), (12, 20)])
+@pytest.mark.parametrize("order, max_genus",
+                         [(1, 30), (4, 16), (6, 12), (9, 20), (15, 16), (12, 20)])
 def test_enumerate_signatures_bounds_the_tuples_it_builds(monkeypatch, order, max_genus):
-    # The bound is exact: the search runs when it builds MAX_CANDIDATES
-    # tuples and is refused, before any signature is built, at one fewer.
-    # Each grid's glide signature has fewer candidate maps than that, or is
-    # out of range (top = 2 at (15, 16)), so the glide rule never fires first.
-    size = _reference_walk_size(order, max_genus)
+    # The bound is exact: the search runs when its count is MAX_CANDIDATES
+    # and is refused, before any signature is built, at one fewer.
+    size = _reference_search_count(order, max_genus)
     expected = enumerate_signatures(order, max_genus)
     monkeypatch.setattr(necfix.census, "MAX_CANDIDATES", size)
     assert enumerate_signatures(order, max_genus) == expected
@@ -168,19 +165,21 @@ def test_enumerate_signatures_bounds_the_tuples_it_builds(monkeypatch, order, ma
         raise AssertionError("a signature was built past the bound")
 
     monkeypatch.setattr(necfix.census, "NecSignature", no_signature)
-    message = (f"the signature search at order {order} up to max genus {max_genus} "
-               f"builds at least {size} period tuples, above the limit of {size - 1}")
-    with pytest.raises(ValueError, match=message):
+    message = (f"the signature search at order {order} up to max genus {max_genus} counts at "
+               f"least {size} starts, period entries and candidate maps, above the limit of "
+               f"{size - 1}")
+    with pytest.raises(ValueError, match=re.escape(message)):
         enumerate_signatures(order, max_genus)
 
 
 def test_candidate_count_takes_phi_from_prime_factors():
     # (0;+;[m];{()}) at order 2m has one free x image per unit of Z_m.
     for m in range(2, 400):
-        assert candidate_count(NecSignature(0, Sign.PLUS, (m,), 1), 2 * m) == len(units(m))
+        assert candidate_count(0, Sign.PLUS, (m,), 1, 2 * m) == len(units(m))
     # The signatures _iter_epimorphisms skips count 0.
     for text, order in [("(0;+;[2,3];{})", 6), ("(1;-;[4];{()})", 6), ("(1;-;[2];{()})", 3)]:
-        assert candidate_count(parse_signature(text), order) == 0
+        sig = parse_signature(text)
+        assert candidate_count(sig.genus, sig.sign, sig.periods, sig.empty_cycles, order) == 0
 
 
 def test_enumerate_signatures_rejects_non_positive_order():

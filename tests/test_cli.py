@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -13,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from necfix.cli import main
+from necfix.cli import _PARSER, main
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +159,8 @@ PRIME = 2**61 - 1
     ("(3;+;[2];{()})", "12", 2985984),
     ("(0;+;[3000000,3000000];{()})", "3000000", 800000**2),
     (f"(0;+;[{PRIME},{PRIME},2];{{()}})", str(2 * PRIME), None),
+    # str() refuses an integer of over 4300 digits: it is written by its size.
+    ("(5000;-;[];{})", "10", "10^4999"),
 ])
 def test_enumerate_over_the_candidate_bound_exits_2_at_once(capsys, monkeypatch,
                                                            signature, order, size):
@@ -191,10 +194,11 @@ def test_enumerate_over_the_candidate_bound_exits_2_at_once(capsys, monkeypatch,
 def test_census_and_max_order_share_the_candidate_bound(tmp_path, capsys, monkeypatch):
     import necfix.census as census
 
-    # The signature search at order 5 up to genus 5 builds 9 tuples, within
-    # the bound, but its two signatures and their 0 + 16 candidate maps are
-    # over it, so the census is refused before any map is built.
-    monkeypatch.setattr(census, "MAX_CANDIDATES", 10)
+    # The signature search at order 5 up to genus 5 counts 14 starts, period
+    # entries and signatures, within a bound of 15, but the 16 candidate maps
+    # of (1;-;[5,5];{}) take its count to 31, so the census is refused
+    # before any map is built.
+    monkeypatch.setattr(census, "MAX_CANDIDATES", 15)
     path = tmp_path / "rows.csv"
     path.write_bytes(b"#trailer,rows=0,sha256=old\n")
     code, out, err = run_cli(
@@ -203,17 +207,17 @@ def test_census_and_max_order_share_the_candidate_bound(tmp_path, capsys, monkey
     )
     assert code == 2
     assert out == ""
-    assert err == ("error: the census at order 5 up to max genus 5 counts 18 signatures "
-                   "and candidate maps, above the limit of 10\n")
+    assert err == ("error: the signature search at order 5 up to max genus 5 counts at least "
+                   "31 starts, period entries and candidate maps, above the limit of 15\n")
     assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
-    # max-order's first search, at order 8, builds 7 starts and 3 tuples of
+    # max-order's first search, at order 8, counts 7 starts and 3 tuples of
     # one period: the search bound refuses it before any signature's maps.
     monkeypatch.setattr(census, "MAX_CANDIDATES", 2)
     code, out, err = run_cli(capsys, "max-order", "3")
     assert code == 2
     assert out == ""
-    assert err == ("error: the signature search at order 8 up to max genus 3 builds at "
-                   "least 10 period tuples, above the limit of 2\n")
+    assert err == ("error: the signature search at order 8 up to max genus 3 counts at least "
+                   "10 starts, period entries and candidate maps, above the limit of 2\n")
 
 
 @pytest.mark.parametrize("order", ["0", "-4"])
@@ -473,9 +477,9 @@ def test_census_interrupted_run_keeps_existing_output(tmp_path, monkeypatch):
 
 
 def test_census_with_too_many_periods_exits_2_at_once(tmp_path, capsys):
-    # Genus 100000 at order 4 leaves room for 50,003 periods, and puts the
-    # glide signature (25001;-;[];{}) in range; the search refuses before
-    # building a signature, and --output keeps its bytes.
+    # Genus 100000 at order 4 leaves room for 50,003 periods and 468,825,003
+    # (sign, genus, cycle count) starts; the search refuses on its first
+    # count, before building a signature, and --output keeps its bytes.
     path = tmp_path / "rows.csv"
     path.write_bytes(b"#trailer,rows=0,sha256=old\n")
     start = time.perf_counter()
@@ -485,27 +489,35 @@ def test_census_with_too_many_periods_exits_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert err == ("error: the signature search at order 4 up to max genus 100000 reaches "
-                   "(25001;-;[];{}) with 4^25000 candidate maps, above the limit of "
-                   "1000000\n")
+    assert err == ("error: the signature search at order 4 up to max genus 100000 counts at "
+                   "least 468825005 starts, period entries and candidate maps, above the "
+                   "limit of 1000000\n")
     assert path.read_bytes() == b"#trailer,rows=0,sha256=old\n"
 
 
-# Each is refused by one count, before what it counts is built.  At order
-# 720720 (239 divisors) and 5040 the glide signature is over the bound; order
-# 1 has no periods, but 1.5*10^8 (sign, genus) starts; order 10^18 would scan
-# 10^9 divisor candidates; and at order 2 up to genus 30 the search passes,
-# but its 2,450 signatures sum to 4,077,836 candidate maps.
+# Each is refused by one count, before the work it counts is done.  Order
+# 10^18 would scan 10^9 divisor candidates; every other grid is refused by
+# the search's running count of starts, period entries and kept signatures'
+# candidate maps.  At orders 720720 (239 divisors), 5040 and 2 the period
+# entries, and at (2, 30) with the candidate maps, are over the bound.
+# Order 1 has no periods: up to genus 10^8 its 1.5*10^8 starts are over it,
+# and up to genus 600000 its 900,001 starts and about 100,000 signatures.
+# Order 2 up to genus 10^8 has 1.9*10^15 starts, counted in closed form.
 # Each text is formatted with the order and max genus.
-SEARCH = "the signature search at order {} up to max genus {}"
+def _search(count):
+    return ("the signature search at order {} up to max genus {} counts at least "
+            f"{count} starts, period entries and candidate maps")
+
+
 HOSTILE_CENSUS = {
-    ("720720", "3000000"): SEARCH + " reaches (6;-;[];{{}}) with 720720^5 candidate maps",
-    ("1", "100000000"): SEARCH + " builds at least 150000001 period tuples",
-    ("5040", "10000"): SEARCH + " reaches (3;-;[];{{}}) with 5040^2 candidate maps",
-    ("2", "40"): SEARCH + " reaches (21;-;[];{{}}) with 2^20 candidate maps",
+    ("720720", "3000000"): _search(6969516),
+    ("1", "100000000"): _search(150000001),
+    ("1", "600000"): _search(1000001),
+    ("2", "100000000"): _search(1875000150000004),
+    ("5040", "10000"): _search(2320338),
+    ("2", "40"): _search(1056131),
     (str(10**18), "12"): "trial division of {} takes 1000000000 steps",
-    ("2", "30"): "the census at order {} up to max genus {} counts 4080286 signatures and "
-                 "candidate maps",
+    ("2", "30"): _search(1000632),
 }
 
 
@@ -530,7 +542,15 @@ HUGE_ACTION = ("(0;+;[10000000,10000000,2];{()})", "--order", str(HUGE),
      "the oracle at order 100000000 takes about 10000000000000000 steps"),
     (("verify", *HUGE_ACTION), f"the oracle at order {HUGE} takes about {HUGE ** 2} steps"),
     (("analyze", *HUGE_ACTION), f"a report at order {HUGE} has {HUGE - 1} power rows"),
-], ids=["verify-all-v", "verify", "analyze"])
+    # An integer of 100 digits or more is written by its size, 10^log10: str()
+    # refuses one of over 4300 digits.
+    (("verify", "--all-v", "--order", str(10**2500)),
+     "the oracle at order 10^2500 takes about 10^5000 steps"),
+    (("verify", "--all-v", "--order", str(3 * 10**150)),
+     "the oracle at order 10^150.477 takes about 10^300.954 steps"),
+    (("verify", "--all-v", "--order", str(10**50)),
+     f"the oracle at order {10**50} takes about 10^100 steps"),
+], ids=["verify-all-v", "verify", "analyze", "by-size", "by-size-rounded", "by-size-edge"])
 def test_verify_and_analyze_refuse_huge_orders_at_once(capsys, argv, message):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -645,6 +665,53 @@ def test_census_into_a_closed_pipe_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=30) == -signal.SIGPIPE
     assert err == b""
+
+
+# What the seeded argv fuzz draws for each argument the parser takes, by
+# its dest; --workers never starts a pool.
+FUZZ_VALUES = {
+    "order": [*range(-2, 31), 10**8, 10**18],
+    "max_genus": [*range(-2, 11), 10**5, 10**8],
+    "genus": [*range(-2, 11), 10**5, 10**8],
+    "cap": [*range(-2, 11), 10**5, 10**8],
+    "workers": [-1, 0, 1],
+    "signature": ["(0;+;[2,7];{()})", "(0;+;[2,2];{()()})", "(1;-;[];{})", "(2;+;[];{})",
+                  "(5000;-;[];{})", "(0;+;[1];{})", "(0;+;[2,7];{(2,2)})", "(0;+"],
+    "map_text": ["", "x=7,2;e=5", "x=1", "d=1", "e=1;c=1", "x=;e=", "y=3"],
+}
+
+
+def test_seeded_argv_fuzz_exits_with_a_contract_code(tmp_path, capsys):
+    # 300 argvs, each a subcommand of the real parser with its arguments
+    # drawn at random: a required one is left out one time in ten, any
+    # other one time in two, and --help 49 times in 50.  Each call returns
+    # 0, 2, 3 or 4, raises nothing and prints no traceback.  The draws can
+    # also give census --order 1 --max-genus 100000, which the budget admits
+    # and which runs for hours; seed 0 does not draw it.
+    subcommands = next(action.choices for action in _PARSER._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    rng = random.Random(0)
+    codes = set()
+    for _ in range(300):
+        name = rng.choice(sorted(subcommands))
+        argv = [name]
+        for action in subcommands[name]._actions:
+            skip = 0.98 if isinstance(action, argparse._HelpAction) else 0.1 if action.required else 0.5
+            if rng.random() < skip:
+                continue
+            if action.nargs == 0:
+                argv.append(action.option_strings[0])
+                continue
+            if action.dest == "output":
+                value = tmp_path / "rows"
+            else:
+                value = rng.choice(action.choices or FUZZ_VALUES[action.dest])
+            argv += [*action.option_strings[:1], str(value)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in out + err, argv
+        codes.add(code)
+    assert codes == {0, 2, 4}
 
 
 def test_unknown_flag_exits_2(capsys):
