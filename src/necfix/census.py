@@ -22,18 +22,17 @@ from dataclasses import dataclass
 from itertools import groupby, product
 
 from .epimorphism import CyclicEpimorphism, format_map_text, validate
-from .fixedpoints import FixedPointReport, full_report, twists_field
+from .fixedpoints import full_report, twists_field
 from .oracle import cross_check
 from .signature import NecSignature, Sign, format_signature, kernel_genus
 
 
 @dataclass(frozen=True)
 class CensusRow:
-    """One valid assignment, its fixed-point report, and whether it is the
-    least representative of its Aut(C_M) orbit."""
+    """One valid assignment and whether it is the least representative of its
+    Aut(C_M) orbit.  Its report is full_report(epi), taken when it is written."""
 
     epi: CyclicEpimorphism
-    report: FixedPointReport
     canonical: bool
 
 
@@ -45,9 +44,15 @@ def check_budget(count, what, *values):
     text, what formatted with the values, is made only on refusal, with each
     integer of 100 digits or more (str() refuses over 4300) as 10^log10."""
     if count > MAX_CANDIDATES:
-        shown = [f"10^{math.log10(v):g}" if isinstance(v, int) and v >= 10**99 else v
+        shown = [_ten_to(math.log10(v)) if isinstance(v, int) and v >= 10**99 else v
                  for v in values]
         raise ValueError(f"{what.format(*shown)}, above the limit of {MAX_CANDIDATES}")
+
+
+def _ten_to(exponent):
+    """10^exponent as text, the exponent to 6 significant digits or to all
+    digits of its integer part, so never in exponent notation."""
+    return f"10^{exponent:.{max(6, len(str(round(exponent))))}g}"
 
 
 def _small_divisors(n):
@@ -156,15 +161,21 @@ def candidate_count(genus, sign, periods, cycles, order):
     (genus; sign; periods; cycles empty period cycles), prod phi(m_i) *
     order**(k + n - 1), or 0 when a period does not divide the order, a
     reflection meets an odd order, or no sign '+' generator reverses
-    orientation.  It takes fields, so the search counts before it builds."""
+    orientation.  It takes fields, so the search counts before it builds.
+    A count of 100 digits or more, which the budget's text writes by its size,
+    is refused by that size, taken from logarithms, before it is built."""
     plus = sign is Sign.PLUS
     if (cycles and order % 2) or (plus and not cycles) or any(order % m for m in periods):
         return 0
-    n_orient = 2 * genus if plus else genus
-    return math.prod(map(_phi, periods)) * order ** (cycles + n_orient - 1)
+    phis = [_phi(m) for m in periods]
+    power = cycles + (2 * genus if plus else genus) - 1
+    size = sum(map(math.log10, phis)) + power * math.log10(order)
+    if size >= 99:
+        sig = format_signature(NecSignature(genus, sign, periods, cycles))
+        check_budget(math.inf, "{} has {} candidate maps at order {}", sig, _ten_to(size), order)
+    return math.prod(phis) * order ** power
 
 
-@functools.lru_cache(maxsize=64)
 def _phi(m):
     """Euler's phi, m times 1 - 1/p for each prime p dividing m: a small
     divisor still dividing what its smaller primes leave is prime, and at
@@ -229,11 +240,8 @@ def shadow_key(epi):
 
 def _census_task(args):
     sig, order, up_to_aut, verify = args
-    rows = []
-    for epi in _iter_epimorphisms(sig, order):
-        canonical = is_canonical(epi)
-        if canonical or not up_to_aut:
-            rows.append(CensusRow(epi, full_report(epi), canonical))
+    rows = [CensusRow(epi, up_to_aut or is_canonical(epi))
+            for epi in enumerate_epimorphisms(sig, order, up_to_aut)]
     disagreements = []
     if verify:
         for row in rows:
@@ -327,19 +335,20 @@ class _HashingStream:
 
 
 def census_row_csv(row):
-    involution = row.report.involution
+    report = full_report(row.epi)
+    involution = report.involution
     if involution is None:
         fixed = ovals = twists = slack = ""
     else:
         fixed = str(involution.isolated_total)
         ovals = str(involution.oval_total)
-        twists = twists_field(row.report)
+        twists = twists_field(report)
         slack = str(involution.scherrer_rhs - involution.scherrer_lhs)
     return [
         format_signature(row.epi.sig),
         str(row.epi.modulus),
         format_map_text(row.epi),
-        str(row.report.kernel_genus),
+        str(report.kernel_genus),
         fixed,
         ovals,
         twists,
@@ -366,7 +375,7 @@ def write_census_jsonl(rows, fh):
     """Stream rows as JSON lines, then a trailer object (same checksum idea).
 
     Each line is one object with the keys canonical, images, kernel_genus,
-    modulus, report (the row's FixedPointReport), scherrer_equality (false
+    modulus, report (full_report of the row's map), scherrer_equality (false
     without an involution), shadow_key and signature, written sorted as
     to_json writes them.  A block of rows of one signature encodes the
     signature once, and the four fields its maps with equal e images share
@@ -379,9 +388,9 @@ def write_census_jsonl(rows, fh):
         shared = {}
         for row in block:
             epi = row.epi
+            report = full_report(epi)
             middle = shared.get(epi.e_images)
             if middle is None:
-                report = row.report
                 middle = shared[epi.e_images] = to_json({
                     "kernel_genus": report.kernel_genus,
                     "modulus": modulus,

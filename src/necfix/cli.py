@@ -35,7 +35,7 @@ from .census import (
 from .epimorphism import format_map_text, parse_map_text, validate
 from .fixedpoints import full_report, twists_field
 from .oracle import cross_check, involution_sweep
-from .signature import ParseError, format_signature, parse_signature
+from .signature import ParseError, Sign, format_signature, parse_signature
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,10 +66,20 @@ def _print_report_table(sig_text, order, report):
     )
 
 
+def _signature(text):
+    """parse_signature, refusing a signature whose maps list more images than
+    the budget, before any text or list of that length is built."""
+    sig = parse_signature(text)
+    count = (len(sig.periods) + 2 * sig.empty_cycles
+             + (2 * sig.genus if sig.sign is Sign.PLUS else sig.genus))
+    check_budget(count, "the signature has {} generators", count)
+    return sig
+
+
 def _cmd_analyze(args):
     # A report has one row for each power t^i, 0 < i < M.
     check_budget(args.order - 1, "a report at order {} has {} power rows", args.order, args.order - 1)
-    sig = parse_signature(args.signature)
+    sig = _signature(args.signature)
     epi = parse_map_text(sig, args.order, args.map_text)
     validation = validate(epi)
     report = full_report(epi) if validation.valid else None
@@ -78,7 +88,7 @@ def _cmd_analyze(args):
     elif args.fmt == "csv" and report:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerow(census_row_csv(CensusRow(epi, report, is_canonical(epi))))
+        writer.writerow(census_row_csv(CensusRow(epi, is_canonical(epi))))
     else:
         # csv stdout carries rows only; the check table is a diagnostic.
         _print_validation(validation, sys.stderr if args.fmt == "csv" else None)
@@ -88,7 +98,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_enumerate(args):
-    sig = parse_signature(args.signature)
+    sig = _signature(args.signature)
     epis = enumerate_epimorphisms(sig, args.order, up_to_aut=args.up_to_aut)
     sig_text = format_signature(sig)
     if args.fmt == "json":
@@ -164,7 +174,7 @@ def _cmd_verify(args):
     else:
         if not args.signature:
             raise ValueError("verify needs a signature (or --all-v)")
-        sig = parse_signature(args.signature)
+        sig = _signature(args.signature)
         transcript = cross_check(parse_map_text(sig, args.order, args.map_text))
         label = f"{format_signature(sig)} M={args.order}:"
     print(to_json(transcript) if args.fmt == "json"
@@ -233,17 +243,27 @@ _add_format(_p, _cmd_max_order, choices=("table", "json"))
 
 
 def main(argv=None):
+    args = None
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.run(args)
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        else:
+            code = args.run(args)
+        # Flushed here, so a failed write, --help's too, is reported, not
+        # raised at exit.
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        target = f"--output {args.output}" if getattr(args, "output", None) else "stdout"
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 
@@ -251,7 +271,14 @@ def console_entry():
     # A closed stdout (``necfix census ... | head -1``) ends the run quietly.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main reported the failed write; what stdout still holds is dropped,
+        # not written again at exit.
+        sys.stdout = None
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -184,7 +184,6 @@ def orbifold_measure(sig):
     return total
 
 
-@functools.lru_cache(maxsize=4096)
 def kernel_genus(sig, order):
     """Cross-cap genus of the surface uniformized by an index-`order` kernel.
 
@@ -192,7 +191,7 @@ def kernel_genus(sig, order):
     non-orientable surface of genus p has normalized measure p - 2, so
     p = order * measure + 2.  Raises ValueError when the measure is not
     positive or when p fails to be an integer (then no torsion-free kernel
-    of that index exists).  Results are cached per (signature, order).
+    of that index exists).
     """
     measure = orbifold_measure(sig)
     if measure <= 0:

@@ -87,10 +87,8 @@ MUTANTS = [
      "test_epimorphism.py"),
     ("census.py",
      "shared.get(epi.e_images)\n            if middle is None:\n"
-     "                report = row.report\n"
      "                middle = shared[epi.e_images] =",
      "shared.get(None)\n            if middle is None:\n"
-     "                report = row.report\n"
      "                middle = shared[None] =",
      "test_census.py"),
     ("census.py", "{to_json(shadow_key(epi))}{tail}')", "{to_json(shadow_key(epi))}}}\\n')",
@@ -105,10 +103,18 @@ MUTANTS = [
     # A constructor keeps only tuples already reduced into [0, modulus).
     ("epimorphism.py", "max(images) < modulus)", "max(images) <= modulus)",
      "test_epimorphism.py"),
-    # One path from census arguments to bytes: the walk keeps every map
-    # unless --up-to-aut, --output is replaced rather than appended to, and
-    # the table's equality marker reads the CSV slack.
-    ("census.py", "or not up_to_aut", "or up_to_aut", "test_cli.py"),
+    # One path from census arguments to bytes: --up-to-aut is filtered by
+    # the one enumeration, each written row takes its report from
+    # full_report, --output is replaced rather than appended to, and the
+    # table's equality marker reads the CSV slack.
+    ("census.py", "enumerate_epimorphisms(sig, order, up_to_aut)]",
+     "enumerate_epimorphisms(sig, order)]", "test_cli.py"),
+    ("census.py",
+     "            report = full_report(epi)\n"
+     "            middle = shared.get(epi.e_images)\n            if middle is None:\n",
+     "            middle = shared.get(epi.e_images)\n            if middle is None:\n"
+     "                report = full_report(epi)\n",
+     "test_fixedpoints.py"),
     ("cli.py", 'open(args.output, "w"', 'open(args.output, "a"', "test_cli.py"),
     ("cli.py", 'slack == "0"', 'slack != "0"', "test_cli.py"),
     # The CLI is built once: a one-worker start-up loads no process pool, and

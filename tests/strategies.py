@@ -12,6 +12,7 @@ from necfix import (
     enumerate_epimorphisms,
     format_map_text,
     format_signature,
+    full_report,
     parse_signature,
 )
 from necfix.census import shadow_key
@@ -75,7 +76,7 @@ def all_assignments(sig, order):
 def census_row_record(row):
     """The whole JSON record of one census row, as a dict: the reference
     each line of the JSONL writer must read as when encoded by to_json."""
-    report = row.report
+    report = full_report(row.epi)
     return {
         "signature": format_signature(row.epi.sig),
         "images": format_map_text(row.epi),

@@ -318,16 +318,18 @@ def test_high_genus_rows_exist_for_minus_signatures():
 
 
 def test_rows_carry_reports_and_flags():
-    assert [f.name for f in dataclasses.fields(CensusRow)] == ["epi", "report", "canonical"]
+    # A row is its map and its flag; its report is taken from the map.
+    assert [f.name for f in dataclasses.fields(CensusRow)] == ["epi", "canonical"]
     rows, _ = run_census(4, 8)
     rows = [row for row in rows if row.epi.sig == EXAMPLE2]
     assert rows
     for row in rows:
         record = census_row_record(row)
+        report = full_report(row.epi)
         assert record["signature"] == format_signature(row.epi.sig)
-        assert record["modulus"] == row.epi.modulus == row.report.modulus
-        assert record["kernel_genus"] == row.report.kernel_genus
-        assert record["scherrer_equality"] == row.report.involution.scherrer_equality
+        assert record["modulus"] == row.epi.modulus == report.modulus
+        assert record["kernel_genus"] == report.kernel_genus
+        assert record["scherrer_equality"] == report.involution.scherrer_equality
         assert record["shadow_key"] == shadow_key(row.epi)
         assert record["canonical"] == row.canonical == is_canonical(row.epi)
 
@@ -341,7 +343,7 @@ def test_shadow_key_ignores_period_order():
 def _scherrer_extremal(order, max_genus):
     """Rows up to Aut(C_M) where the involution attains |F| + 2|V| = p + 2."""
     rows, _ = run_census(order, max_genus, up_to_aut=True)
-    return [row for row in rows if row.report.involution.scherrer_equality]
+    return [row for row in rows if full_report(row.epi).involution.scherrer_equality]
 
 
 def test_scherrer_extremal_contains_examples():
@@ -364,7 +366,7 @@ def test_scherrer_extremal_order_eight_family():
         if format_signature(r.epi.sig) == "(0;+;[8,8];{()})"
     ]
     assert match
-    inv = match[0].report.involution
+    inv = full_report(match[0].epi).involution
     assert inv.isolated_total == 2
     assert inv.oval_total == 4
 
@@ -374,9 +376,10 @@ def test_census_rows_all_validate_and_hold_scherrer():
     assert not disagreements
     assert rows
     for row in rows:
-        inv = row.report.involution
+        report = full_report(row.epi)
+        inv = report.involution
         assert inv.scherrer_lhs <= inv.scherrer_rhs
-        assert 3 <= row.report.kernel_genus <= 10
+        assert 3 <= report.kernel_genus <= 10
         # At i = N the per-power formula restricts to the even periods.
         assert inv.isolated_total == sum(
             4 // m for m in row.epi.sig.periods if m % 2 == 0
@@ -442,7 +445,7 @@ def test_census_jsonl_lines_equal_the_one_encoder(order, max_genus, monkeypatch)
     assert texts == list(dict.fromkeys(format_signature(row.epi.sig) for row in rows))
     if order % 2:
         assert len(rows) == 292
-        assert all(row.report.involution is None for row in rows)
+        assert all(full_report(row.epi).involution is None for row in rows)
 
 
 def assert_encodes_as_asdict(obj):
@@ -457,7 +460,7 @@ def test_to_json_matches_asdict_reference(data):
     report = full_report(epi)
     for obj in (validate(epi), report, cross_check(epi)):
         assert_encodes_as_asdict(obj)
-    record = census_row_record(CensusRow(epi, report, is_canonical(epi)))
+    record = census_row_record(CensusRow(epi, is_canonical(epi)))
     reference = {**record, "report": dataclasses.asdict(report)}
     assert to_json(record) == json.dumps(reference, sort_keys=True)
 

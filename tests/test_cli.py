@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -161,6 +162,9 @@ PRIME = 2**61 - 1
     (f"(0;+;[{PRIME},{PRIME},2];{{()}})", str(2 * PRIME), None),
     # str() refuses an integer of over 4300 digits: it is written by its size.
     ("(5000;-;[];{})", "10", "10^4999"),
+    # A count that large is compared by its size, from logarithms, before
+    # its power is built, and its exponent is never in exponent notation.
+    ("(600000;-;[];{})", "100", "10^1199998"),
 ])
 def test_enumerate_over_the_candidate_bound_exits_2_at_once(capsys, monkeypatch,
                                                            signature, order, size):
@@ -189,6 +193,30 @@ def test_enumerate_over_the_candidate_bound_exits_2_at_once(capsys, monkeypatch,
     what = (f"{signature} has {size} candidate maps at order {order}" if size
             else f"trial division of {PRIME} takes {math.isqrt(PRIME)} steps")
     assert err == f"error: {what}, above the limit of 1000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "(0;+;[];{()^100000000})", "--order", "2", "--map", ""),
+    ("verify", "(0;+;[];{()^100000000})", "--order", "2", "--map", ""),
+    ("enumerate", "(0;+;[];{()^100000000})", "--order", "2"),
+])
+def test_a_signature_with_too_many_generators_exits_2_at_once(capsys, monkeypatch, argv):
+    import necfix.census as census
+    import necfix.cli as cli
+
+    # "()^k" expands to k cycles of two generators each.  Their count is
+    # refused right after parsing, before a map's image list or the
+    # signature's text, each as long as that count, is built.
+    def too_late(*args):
+        raise AssertionError("a list or text as long as the signature was built")
+
+    monkeypatch.setattr(cli, "parse_map_text", too_late)
+    monkeypatch.setattr(census, "format_signature", too_late)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: the signature has 200000000 generators, above the limit of 1000000\n"
 
 
 def test_census_and_max_order_share_the_candidate_bound(tmp_path, capsys, monkeypatch):
@@ -665,6 +693,32 @@ def test_census_into_a_closed_pipe_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=30) == -signal.SIGPIPE
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="platform has no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (("census", "--order", "4", "--max-genus", "6", "--format", "csv",
+          "--output", "/dev/full"), "--output /dev/full"),
+        (("census", "--order", "4", "--max-genus", "6", "--format", "csv"), "stdout"),
+        (("analyze", "(0;+;[2,7];{()})", "--order", "14", "--map", "x=7,2;e=5",
+          "--format", "json"), "stdout"),
+    ],
+)
+def test_a_failed_write_exits_2(argv, target, unbuffered):
+    # /dev/full refuses every write with ENOSPC.  Buffered or not, the run
+    # ends with one error line naming the target, and nothing is written
+    # again at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "necfix.cli", *argv], stdout=full,
+                                stderr=subprocess.PIPE, text=True, env=env, timeout=30)
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
 
 
 # What the seeded argv fuzz draws for each argument the parser takes, by

@@ -1,3 +1,5 @@
+import gc
+import io
 import math
 
 import pytest
@@ -12,7 +14,8 @@ from necfix import (
     parse_signature,
     run_census,
 )
-from necfix.fixedpoints import _report, cycle_ovals, twists_field
+from necfix.census import write_census_jsonl
+from necfix.fixedpoints import FixedPointReport, _report, cycle_ovals, twists_field
 from strategies import VALID_POOL_MAPS
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
@@ -190,13 +193,19 @@ def test_invalid_map_raises_when_its_key_is_cached():
 
 
 def test_census_keeps_at_most_32_reports():
+    # A row holds its map, not its report: the writer takes one report per
+    # row from full_report, so a census keeps only the cache's reports alive.
     _report.cache_clear()
     rows, _ = run_census(4, 16)
+    assert _report.cache_info().currsize == 0
+    write_census_jsonl(rows, io.StringIO())
     info = _report.cache_info()
     assert 0 < info.currsize <= 32
     # Rows of one signature arrive together, so most rows share a report.
     assert info.hits + info.misses == len(rows)
     assert info.misses < len(rows) / 4
+    gc.collect()
+    assert sum(isinstance(obj, FixedPointReport) for obj in gc.get_objects()) <= 32
 
 
 @pytest.mark.parametrize(
