@@ -42,11 +42,19 @@ MAX_CANDIDATES = 10**6
 def check_budget(count, what, *values):
     """The one size bound of every search, census, report and oracle run.  Its
     text, what formatted with the values, is made only on refusal, with each
-    integer of 100 digits or more (str() refuses over 4300) as 10^log10."""
+    integer of 100 digits or more (str() refuses over 4300) as 10^log10, and
+    each text of 100 characters or more as its start and its length."""
     if count > MAX_CANDIDATES:
-        shown = [_ten_to(math.log10(v)) if isinstance(v, int) and v >= 10**99 else v
-                 for v in values]
-        raise ValueError(f"{what.format(*shown)}, above the limit of {MAX_CANDIDATES}")
+        shown = what.format(*map(_shown, values))
+        raise ValueError(f"{shown}, above the limit of {MAX_CANDIDATES}")
+
+
+def _shown(value):
+    if isinstance(value, int) and value >= 10**99:
+        return _ten_to(math.log10(value))
+    if isinstance(value, str) and len(value) >= 100:
+        return f"{value[:40]}... ({len(value)} characters)"
+    return value
 
 
 def _ten_to(exponent):

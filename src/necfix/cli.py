@@ -162,8 +162,8 @@ def _cmd_census(args):
 
 
 def _cmd_verify(args):
-    # The oracle takes about M^2 steps: a closure for each v, or a coset
-    # walk over Z_M for each power.
+    # A sweep takes at most M^2 steps (an O(M) closure per v), a single map
+    # about M*(r + 1) (an O(M) coset walk per x image, and M - 1 power rows).
     steps = args.order**2
     check_budget(steps, "the oracle at order {} takes about {} steps", args.order, steps)
     if args.all_v:

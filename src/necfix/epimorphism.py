@@ -86,23 +86,23 @@ def image_order(modulus, *exponents):
 def subgroup_generated(modulus, gens):
     """The set of elements of the subgroup of Z_modulus generated by gens.
 
-    A worklist closure from 0, deliberately without gcd: each element popped
-    is added to every generator, and each new sum is kept and pushed.  This
-    routine is the trusted base that the brute-force oracle uses to
+    Grown a coset at a time from {0}, deliberately without gcd: for each
+    generator g, walk 0, g, 2g, ... until a multiple lies in the closure S
+    so far, then S becomes S + those multiples, O(modulus) per generator.
+    This routine is the trusted base that the brute-force oracle uses to
     cross-check the gcd formulas, so it must not share reasoning with them.
     Only the oracle calls it.  It could live in `oracle` without an import
     cycle; it stays here because `perfbench/tracing.py` binds
     `epimorphism.subgroup_generated`.
     """
     elements = {0}
-    todo = [0]
-    while todo:
-        a = todo.pop()
-        for g in gens:
-            b = (a + g) % modulus
-            if b not in elements:
-                elements.add(b)
-                todo.append(b)
+    for g in gens:
+        multiples = [0]
+        t = g % modulus
+        while t not in elements:
+            multiples.append(t)
+            t = (t + g) % modulus
+        elements = {(s + m) % modulus for s in elements for m in multiples}
     return elements
 
 

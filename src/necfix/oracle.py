@@ -11,9 +11,11 @@ are counted two independent ways, neither using gcd:
     with d*v = 0, found by trying each d in turn; the class count is N/delta
     and the oval is twisted exactly when epsilon = 2*delta.
 
-Isolated fixed points are recounted by enumerating the cosets of the
-subgroup generated by each elliptic image and checking which cosets the
-translation by i fixes, with no divisibility shortcut.
+Isolated fixed points are recounted from the cosets of the subgroup
+generated by each elliptic image: each coset C, walked once from its least
+element c, is fixed by exactly the translations x - c for x in C, with no
+divisibility shortcut.  So a single map takes about M*(r + 1) steps for r
+elliptic images, and a sweep over every v at most M^2.
 """
 
 from __future__ import annotations
@@ -99,19 +101,20 @@ def exponents(order, v):
     return delta, epsilon
 
 
-def _cosets(order, u):
-    """(representative, coset) pairs partitioning Z_M by <u>, enumerated by
-    closure and explicit translation."""
+def _fixed_cosets(order, u):
+    """fixed[i]: how many cosets of <u> in Z_M translation by i fixes.  Each
+    coset C, enumerated by closure and explicit translation from its least
+    element c, is fixed by exactly the i = x - c, x in C (then c + i in C)."""
     subgroup = subgroup_generated(order, [u])
     seen = set()
-    cosets = []
+    fixed = [0] * order
     for c in range(order):
-        if c in seen:
-            continue
-        coset = {(c + h) % order for h in subgroup}
-        seen |= coset
-        cosets.append((c, coset))
-    return cosets
+        if c not in seen:
+            coset = {(c + h) % order for h in subgroup}
+            seen |= coset
+            for x in coset:
+                fixed[(x - c) % order] += 1
+    return fixed
 
 
 def _compare_cycle(order, v, label, disagreements):
@@ -151,10 +154,10 @@ def cross_check(epi):
 
     # The points over the j-th cone point form Z_M/<u_j>, with t acting by
     # translation; a point is fixed by t^i exactly when its coset is.
-    partitions = [_cosets(order, u) for u in epi.x_images]
+    fixed = [_fixed_cosets(order, u) for u in epi.x_images]
     per_power = []
     for i in range(1, order):
-        counts = [sum((c + i) % order in coset for c, coset in cosets) for cosets in partitions]
+        counts = [by_power[i] for by_power in fixed]
         per_power.extend(
             PowerCosetCount(i, j, count) for j, count in enumerate(counts)
         )

@@ -140,6 +140,15 @@ MUTANTS = [
     ("census.py", "check_budget(built,", "check_budget(0,", "test_census.py"),
     # phi keeps the prime left above the square root.
     ("census.py", "if rest > 1 else", "if rest > 2 else", "test_census.py"),
+    # The closure grows a coset at a time: it keeps S itself (the 0 step)
+    # and walks each generator's multiples until one lies in S.
+    ("epimorphism.py", "multiples = [0]", "multiples = []", "test_oracle.py"),
+    ("epimorphism.py", "while t not in elements:", "if t not in elements:", "test_oracle.py"),
+    # Each coset is fixed by the i = x - c for x in it.  The sign flip
+    # (c - x) is no row: C - c is a subgroup, closed under negation, so
+    # that mutant is equivalent and would survive.
+    ("oracle.py", "fixed[(x - c) % order] += 1", "fixed[x] += 1", "test_oracle.py"),
+    ("oracle.py", "fixed[(x - c) % order] += 1", "fixed[(x - c) % order] = 1", "test_oracle.py"),
 ]
 
 

@@ -219,6 +219,19 @@ def test_a_signature_with_too_many_generators_exits_2_at_once(capsys, monkeypatc
     assert err == "error: the signature has 200000000 generators, above the limit of 1000000\n"
 
 
+def test_a_long_signature_is_written_by_its_length_in_its_refusal(capsys):
+    # 999,998 generators pass the generator count, but 2^499998 candidate
+    # maps do not; the refusal names the signature's text by its start and
+    # its length, as it names a count of 100 digits or more by its size.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "(0;+;[];{()^499999})", "--order", "2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert len(err.encode("utf-8")) < 1024
+    assert err == (f"error: (0;+;[];{{{'()' * 15}(... (1000009 characters) has 10^150514 "
+                   "candidate maps at order 2, above the limit of 1000000\n")
+
+
 def test_census_and_max_order_share_the_candidate_bound(tmp_path, capsys, monkeypatch):
     import necfix.census as census
 
@@ -947,3 +960,51 @@ def test_json_stdout_is_pinned(capsys, argv, exit_code, digest):
     assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+
+
+# sha256 of verify's json stdout: the sweep at a spread of even orders, up
+# to 1000, the largest the budget admits, and one map of (0;+;[M,M,2];{()})
+# at each order action-ladder in perfbench sends.
+PINNED_SWEEPS = {
+    2: "d7ca2074591903e26928e33a5a91898532314660dc15e1e0e99c772c56cd6f00",
+    4: "486b7d09b86c48fa2a9584ee195e11edcfc5276a641b73dc47a0e2d662706216",
+    6: "96270ccccbc69ebfada6e8cd0a8c496206262fd6583421800dfd8a057212c2e9",
+    10: "ca178a377dacc50a9a8561d8940ceaae8f52382d3016d91a65b63311a82b87cc",
+    30: "0f2cf1fa050119fa02813c8fdb2cb57c2a2187a2e96b58e1d568b8e48f269b15",
+    64: "e55f5b8ca51e5e325df2700df88a0876d1a05e2da4edc5097e2a17e25fa120c4",
+    100: "c49a5e77d7404c27c182d31e76d62bd27e4011359dd5c0d56741e9c04a602eb7",
+    210: "794cc3dc41882a8f759f49af3d0e2d99352101cfb93fa467b3ef6909d13b13d4",
+    360: "5f659e82c1eccbcc606005e45c91b2eb899d16e08dac1586d62071bfcb6723cf",
+    512: "5055649515979e754508c759296d59c6bb8638a0a6a19de3b152ea1827dd7f0a",
+    1000: "9625a1645299906af1865667ba3a687deee1d8ebc292a67a960dff809d87188d",
+}
+PINNED_LADDER_MAPS = {
+    32: "183e5ded2ba547d856d0d5424dcff5185e643447f3f47bb9e17f03e19db01762",
+    48: "babc0b0ef5a9a64a07396b17d49e4dbb2d57c84516afb2b52f4d888c2386a85c",
+    64: "4dbc24e39bf279f3425ed6e8d22678a318aa156baa6aac5dc21d584e56a1681a",
+    96: "1198dc4cd73527dd039fb16d96874a4a72e596924101d98824713267863d019b",
+    128: "af904103e19ca12e90aa45c172fcf2b72e2bf464c1ada8ef64700f2efddf267a",
+    192: "adfb146703771b4d56415ffed338308cef0db582272ff77c35827c0619f157ef",
+    256: "e8d983c68d0dc98c5210aece230b17a25690524a6fddb1d39afc253bd4dfd845",
+    384: "f01d1f339b234335b2a69e5b5803323eebb606d931066515da54a96d30d3e393",
+    512: "b8b28eba268490cf24e9d341452e351a881ef3a27bff36f320221df26acc41b3",
+}
+
+
+@pytest.mark.parametrize("order", PINNED_SWEEPS)
+def test_verify_all_v_transcript_is_pinned(capsys, order):
+    code, out, err = run_cli(capsys, "verify", "--all-v", "--order", str(order), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SWEEPS[order]
+
+
+@pytest.mark.parametrize("order", PINNED_LADDER_MAPS)
+def test_verify_ladder_transcript_is_pinned(capsys, order):
+    # x = 5, 7 (units at these orders), M/2; the long relation fixes e.
+    half = order // 2
+    code, out, err = run_cli(
+        capsys, "verify", f"(0;+;[{order},{order},2];{{()}})", "--order", str(order),
+        "--map", f"x=5,7,{half};e={-(12 + half) % order}", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_LADDER_MAPS[order]

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necfix import (
     cross_check,
@@ -13,6 +15,10 @@ from necfix import (
     parse_map_text,
     parse_signature,
 )
+from necfix.epimorphism import subgroup_generated
+from necfix.oracle import PowerCosetCount
+
+from strategies import SIG_POOL, VALID_POOL_MAPS
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2 = parse_signature("(0;+;[2,2,4,4];{()})")
@@ -179,3 +185,54 @@ def test_coset_counts_match_formula_up_to_order_40():
                 assert transcript.agreement, transcript.disagreements
                 checked += 1
     assert checked > 0
+
+
+def worklist_closure(order, gens):
+    """The subgroup of Z_order generated by gens, by its definition: every
+    element reached is added to every generator until nothing new appears."""
+    elements = {0}
+    todo = [0]
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            b = (a + g) % order
+            if b not in elements:
+                elements.add(b)
+                todo.append(b)
+    return elements
+
+
+def fixed_cosets_by_power(epi):
+    """per_power_fixed by its definition, power by power: for each i and
+    each x image u_j, the cosets of <u_j> that translation by i fixes."""
+    order = epi.modulus
+    partitions = [
+        {frozenset((c + h) % order for h in worklist_closure(order, [u])) for c in range(order)}
+        for u in epi.x_images
+    ]
+    return tuple(
+        PowerCosetCount(i, j, sum((min(coset) + i) % order in coset for coset in cosets))
+        for i in range(1, order)
+        for j, cosets in enumerate(partitions)
+    )
+
+
+# The pool's maps, and maps at orders 24 and 30 whose x images have order
+# 2 or 3, so a partition has up to 15 cosets.
+ORACLE_MAPS = VALID_POOL_MAPS + [
+    epi for sig in SIG_POOL[3:] for order in (24, 30) for epi in enumerate_epimorphisms(sig, order)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ORACLE_MAPS),
+    st.integers(min_value=1, max_value=120),
+    st.lists(st.integers(min_value=-300, max_value=300), max_size=4),
+)
+def test_oracle_kernels_match_their_definitions(epi, order, gens):
+    # The oracle counts each coset's fixing translations from the coset and
+    # grows its closures a coset at a time; both must give what the
+    # definitions give, for negative and out-of-range generators too.
+    assert cross_check(epi).per_power_fixed == fixed_cosets_by_power(epi)
+    assert subgroup_generated(order, gens) == worklist_closure(order, gens)
