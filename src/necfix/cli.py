@@ -162,8 +162,9 @@ def _cmd_census(args):
 
 
 def _cmd_verify(args):
-    # A sweep takes at most M^2 steps (an O(M) closure per v), a single map
-    # about M*(r + 1) (an O(M) coset walk per x image, and M - 1 power rows).
+    # A sweep takes at most M^2 steps (an exponent walk of at most M
+    # additions per v; its closures are O(log M) shifts), a single map about
+    # M*(r + 1) (an O(M) coset walk per x image, and M - 1 power rows).
     steps = args.order**2
     check_budget(steps, "the oracle at order {} takes about {} steps", args.order, steps)
     if args.all_v:

@@ -84,26 +84,35 @@ def image_order(modulus, *exponents):
 
 
 def subgroup_generated(modulus, gens):
-    """The set of elements of the subgroup of Z_modulus generated by gens.
+    """The subgroup of Z_modulus generated by gens, as an int whose bit h is
+    set exactly when h is in the subgroup.
 
-    Grown a coset at a time from {0}, deliberately without gcd: for each
-    generator g, walk 0, g, 2g, ... until a multiple lies in the closure S
-    so far, then S becomes S + those multiples, O(modulus) per generator.
+    Grown by doubling from S = {0}, deliberately without gcd.  For each
+    generator g, with S0 the set so far and step = g mod modulus, S becomes
+    S | rot(S, step) and step doubles mod modulus, until rot(S, step) lies
+    in S; rot is the modulus-bit rotation, which adds step to each element.
+    This is correct because after j steps S = S0 + {0, g, ..., (2^j - 1)g},
+    so S + 2^j g = S gives S + g = S.  Once 2^j > modulus, S holds all the
+    multiples 0, g, ..., (modulus - 1)g, so a generator takes at most
+    modulus.bit_length() steps: O(log modulus) shifts of a modulus-bit
+    integer.
     This routine is the trusted base that the brute-force oracle uses to
     cross-check the gcd formulas, so it must not share reasoning with them.
     Only the oracle calls it.  It could live in `oracle` without an import
     cycle; it stays here because `perfbench/tracing.py` binds
     `epimorphism.subgroup_generated`.
     """
-    elements = {0}
+    full = (1 << modulus) - 1
+    members = 1
     for g in gens:
-        multiples = [0]
-        t = g % modulus
-        while t not in elements:
-            multiples.append(t)
-            t = (t + g) % modulus
-        elements = {(s + m) % modulus for s in elements for m in multiples}
-    return elements
+        step = g % modulus
+        for _ in range(modulus.bit_length()):
+            shifted = (members << step | members >> (modulus - step)) & full
+            if shifted | members == members:
+                break
+            members |= shifted
+            step = 2 * step % modulus
+    return members
 
 
 def validate(epi):

@@ -6,16 +6,18 @@ are counted two independent ways, neither using gcd:
 
   * double cosets: the conjugacy classes of a reflection inside Lambda
     biject with the cosets of the subgroup generated by {N, v} in Z_M,
-    found by closure enumeration;
+    found by a closure grown by doubling, O(log M) shifts of an M-bit set;
   * exponents: delta = least d with d*v in {0, N} and epsilon = least d
-    with d*v = 0, found by trying each d in turn; the class count is N/delta
-    and the oval is twisted exactly when epsilon = 2*delta.
+    with d*v = 0, found by walking t = d*v mod M by addition, one step per
+    d, so epsilon steps; the class count is N/delta and the oval is twisted
+    exactly when epsilon = 2*delta.
 
 Isolated fixed points are recounted from the cosets of the subgroup
 generated by each elliptic image: each coset C, walked once from its least
 element c, is fixed by exactly the translations x - c for x in C, with no
 divisibility shortcut.  So a single map takes about M*(r + 1) steps for r
-elliptic images, and a sweep over every v at most M^2.
+elliptic images, and a sweep over every v at most the sum of its epsilons,
+no more than M^2 additions.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def _require_even(order):
 def oval_classes_doublecoset(order, v):
     """Class count via double cosets: index of <N, v> in Z_M by closure."""
     _require_even(order)
-    return order // len(subgroup_generated(order, [order // 2, v]))
+    return order // subgroup_generated(order, [order // 2, v]).bit_count()
 
 
 def exponents(order, v):
@@ -90,13 +92,22 @@ def exponents(order, v):
 
     delta is the least d >= 1 with d*v in {0, N} (the exponent landing in
     Lambda), epsilon the least d with d*v = 0 (landing in the kernel).  Both
-    are found by trying every d in turn, and epsilon's search does not assume
-    it is delta or 2*delta: that is one of the things the oracle checks.
+    are found by one walk of t = d*v mod M by addition, d stepping by 1, and
+    epsilon's search goes on from delta without assuming it is delta or
+    2*delta: that is one of the things the oracle checks.
     """
     _require_even(order)
     half = order // 2
-    delta = next(d for d in range(1, order + 1) if d * v % order in (0, half))
-    epsilon = next(d for d in range(delta, order + 1) if d * v % order == 0)
+    step = v % order
+    d, t = 1, step
+    while t != 0 and t != half:
+        d += 1
+        t = (t + step) % order
+    delta = d
+    while t != 0:
+        d += 1
+        t = (t + step) % order
+    epsilon = d
     assert half % delta == 0 and order % epsilon == 0
     return delta, epsilon
 
@@ -105,7 +116,8 @@ def _fixed_cosets(order, u):
     """fixed[i]: how many cosets of <u> in Z_M translation by i fixes.  Each
     coset C, enumerated by closure and explicit translation from its least
     element c, is fixed by exactly the i = x - c, x in C (then c + i in C)."""
-    subgroup = subgroup_generated(order, [u])
+    closure = subgroup_generated(order, [u])
+    subgroup = [h for h in range(order) if closure >> h & 1]
     seen = set()
     fixed = [0] * order
     for c in range(order):

@@ -132,18 +132,23 @@ MUTANTS = [
     # Parser: the lower bound on the first period of a list.
     ("signature.py", "values.append(integer(what, 2))\n            while",
      "values.append(integer(what))\n            while", "test_signature.py"),
-    # The oracle's exponents are their definitions, and it reports a twist
-    # disagreement; the signature search counts what it builds.
-    ("oracle.py", "range(delta, order + 1)", "range(delta + 1, order + 1)", "test_oracle.py"),
-    ("oracle.py", "in (0, half)", "== half", "test_oracle.py"),
+    # The oracle's exponents are their definitions, walked by addition: the
+    # epsilon walk goes on from d = delta itself, and the delta walk stops
+    # at N as well as at 0.  It reports a twist disagreement; the signature
+    # search counts what it builds.
+    ("oracle.py", "    delta = d\n    while t != 0:",
+     "    delta = d\n    d += 1\n    t = (t + step) % order\n    while t != 0:", "test_oracle.py"),
+    ("oracle.py", "while t != 0 and t != half:", "while t != 0:", "test_oracle.py"),
     ("oracle.py", "if twisted != formula.twisted:", "if False:", "test_cli.py"),
     ("census.py", "check_budget(built,", "check_budget(0,", "test_census.py"),
     # phi keeps the prime left above the square root.
     ("census.py", "if rest > 1 else", "if rest > 2 else", "test_census.py"),
-    # The closure grows a coset at a time: it keeps S itself (the 0 step)
-    # and walks each generator's multiples until one lies in S.
-    ("epimorphism.py", "multiples = [0]", "multiples = []", "test_oracle.py"),
-    ("epimorphism.py", "while t not in elements:", "if t not in elements:", "test_oracle.py"),
+    # The closure grows by doubling an M-bit set: its rotation keeps no bit
+    # at or above the modulus and wraps each bit by exactly modulus - step.
+    ("epimorphism.py", "(members << step | members >> (modulus - step)) & full",
+     "members << step | members >> (modulus - step)", "test_epimorphism.py"),
+    ("epimorphism.py", "members >> (modulus - step)", "members >> (modulus - step + 1)",
+     "test_oracle.py"),
     # Each coset is fixed by the i = x - c for x in it.  The sign flip
     # (c - x) is no row: C - c is a subgroup, closed under negation, so
     # that mutant is equivalent and would survive.

@@ -16,6 +16,7 @@ from necfix import (
     parse_signature,
 )
 from necfix.census import shadow_key
+from necfix.epimorphism import subgroup_generated
 
 period_values = st.integers(min_value=2, max_value=12)
 
@@ -53,6 +54,14 @@ POOL_ORDERS = (2, 3, 4, 6, 8, 9, 12, 14)
 VALID_POOL_MAPS = [
     epi for sig in SIG_POOL for order in POOL_ORDERS for epi in enumerate_epimorphisms(sig, order)
 ]
+
+
+def closure_set(modulus, gens):
+    """subgroup_generated's mask decoded into the set of its members, the h
+    in [0, modulus) whose bit is set; no bit at or above modulus may be."""
+    mask = subgroup_generated(modulus, gens)
+    assert 0 <= mask and mask >> modulus == 0, f"bits set at or above {modulus}"
+    return {h for h in range(modulus) if mask >> h & 1}
 
 
 def image_slots(sig):

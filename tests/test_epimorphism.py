@@ -14,9 +14,9 @@ from necfix import (
     parse_signature,
     validate,
 )
-from necfix.epimorphism import _verdict, subgroup_generated
+from necfix.epimorphism import _verdict
 
-from strategies import SIG_POOL, all_assignments
+from strategies import SIG_POOL, all_assignments, closure_set
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2_R3 = parse_signature("(0;+;[2,2,2,4,4];{()})")
@@ -32,9 +32,16 @@ def test_image_order(order, u, expected):
 
 
 def test_subgroup_generated_examples():
-    assert sorted(subgroup_generated(12, [8])) == [0, 4, 8]
-    assert sorted(subgroup_generated(14, [7, 2])) == list(range(14))
-    assert sorted(subgroup_generated(4, [])) == [0]
+    assert closure_set(12, [8]) == {0, 4, 8}
+    assert closure_set(14, [7, 2]) == set(range(14))
+    assert closure_set(4, []) == {0}
+    # Modulus 1, no generators, zero, multiples of the modulus and negatives.
+    assert closure_set(1, []) == closure_set(1, [0]) == closure_set(1, [1, -7]) == {0}
+    assert closure_set(12, []) == closure_set(12, [0, 12, -24]) == {0}
+    assert closure_set(12, [-8]) == {0, 4, 8}
+    assert closure_set(12, [-3, 0]) == {0, 3, 6, 9}
+    assert closure_set(12, [-1]) == set(range(12))
+    assert closure_set(6, [4, -3]) == set(range(6))
 
 
 @given(
@@ -42,7 +49,7 @@ def test_subgroup_generated_examples():
     st.lists(st.integers(min_value=-100, max_value=100), max_size=4),
 )
 def test_subgroup_generated_is_a_subgroup(order, gens):
-    member = subgroup_generated(order, gens)
+    member = closure_set(order, gens)
     assert 0 in member
     assert order % len(member) == 0
     assert all((a + b) % order in member for a in member for b in member)
@@ -53,7 +60,7 @@ def test_subgroup_generated_is_a_subgroup(order, gens):
     st.lists(st.integers(min_value=-200, max_value=200), max_size=4),
 )
 def test_cyclic_subgroup_size_against_gcd(order, gens):
-    assert image_order(order, *gens) == len(subgroup_generated(order, gens))
+    assert image_order(order, *gens) == len(closure_set(order, gens))
 
 
 def test_validate_example1_odd():
@@ -332,7 +339,7 @@ def check_subgroups_against_closure(data, pool):
     report = validate(epi)
 
     all_images = [*epi.x_images, *epi.e_images, *epi.c_images, *epi.orient_images]
-    size = len(subgroup_generated(order, all_images))
+    size = len(closure_set(order, all_images))
     surjective = check(report, "SURJECTIVE")
     assert surjective.passed == (size == order)
     assert surjective.detail == f"images generate a subgroup of size {size} of {order}"

@@ -15,10 +15,9 @@ from necfix import (
     parse_map_text,
     parse_signature,
 )
-from necfix.epimorphism import subgroup_generated
 from necfix.oracle import PowerCosetCount
 
-from strategies import SIG_POOL, VALID_POOL_MAPS
+from strategies import SIG_POOL, VALID_POOL_MAPS, closure_set
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2 = parse_signature("(0;+;[2,2,4,4];{()})")
@@ -232,7 +231,17 @@ ORACLE_MAPS = VALID_POOL_MAPS + [
 )
 def test_oracle_kernels_match_their_definitions(epi, order, gens):
     # The oracle counts each coset's fixing translations from the coset and
-    # grows its closures a coset at a time; both must give what the
-    # definitions give, for negative and out-of-range generators too.
+    # grows its closures by doubling; both must give what the definitions
+    # give, for negative and out-of-range generators too.
     assert cross_check(epi).per_power_fixed == fixed_cosets_by_power(epi)
-    assert subgroup_generated(order, gens) == worklist_closure(order, gens)
+    assert closure_set(order, gens) == worklist_closure(order, gens)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[], [0], [1], [-1], [500], [500, 250], [8], [-12, 750], [999, 0], [400, 625], [-1000, 40]],
+)
+def test_closure_at_the_largest_verified_order(gens):
+    # 1000 is the largest order verify admits; its closures double up to
+    # ten times, against a worklist that adds one element at a time.
+    assert closure_set(1000, gens) == worklist_closure(1000, gens)
