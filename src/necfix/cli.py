@@ -162,9 +162,10 @@ def _cmd_census(args):
 
 
 def _cmd_verify(args):
-    # A sweep takes at most M^2 steps (an exponent walk of at most M
-    # additions per v; its closures are O(log M) shifts), a single map about
-    # M*(r + 1) (an O(M) coset walk per x image, and M - 1 power rows).
+    # A sweep takes at most M steps of one exponent walk over an int of
+    # M*(b + 1) bits, b the bit length of M, and O(log M) shifts for each
+    # closure; a single map about M*(r + 1) (an O(M) coset walk per x image,
+    # and M - 1 power rows).  Both are held to M^2.
     steps = args.order**2
     check_budget(steps, "the oracle at order {} takes about {} steps", args.order, steps)
     if args.all_v:

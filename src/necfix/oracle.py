@@ -8,16 +8,20 @@ are counted two independent ways, neither using gcd:
     biject with the cosets of the subgroup generated by {N, v} in Z_M,
     found by a closure grown by doubling, O(log M) shifts of an M-bit set;
   * exponents: delta = least d with d*v in {0, N} and epsilon = least d
-    with d*v = 0, found by walking t = d*v mod M by addition, one step per
-    d, so epsilon steps; the class count is N/delta and the oval is twisted
-    exactly when epsilon = 2*delta.
+    with d*v = 0, found for every v at once by walking t = d*v mod M by
+    addition in lanes of one int, one step per d, so at most M steps; the
+    class count is N/delta and the oval is twisted exactly when
+    epsilon = 2*delta.
 
 Isolated fixed points are recounted from the cosets of the subgroup
 generated by each elliptic image: each coset C, walked once from its least
 element c, is fixed by exactly the translations x - c for x in C, with no
-divisibility shortcut.  So a single map takes about M*(r + 1) steps for r
-elliptic images, and a sweep over every v at most the sum of its epsilons,
-no more than M^2 additions.
+divisibility shortcut.  Their sum over the powers of t, with the Euler
+characteristic 2 - p of the surface, must be M times that of the quotient
+(ovals have Euler characteristic 0).  So a single map takes about
+M*(r + 1) steps for r elliptic images, and a sweep over every v at most M
+steps, each a few additions on an int of M*(b + 1) bits, b the bit length
+of M.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 from .epimorphism import subgroup_generated, validate
 from .fixedpoints import cycle_ovals, isolated_fixed_points
+from .signature import Sign
 
 
 @dataclass(frozen=True)
@@ -87,29 +92,67 @@ def oval_classes_doublecoset(order, v):
     return order // subgroup_generated(order, [order // 2, v]).bit_count()
 
 
-def exponents(order, v):
-    """(delta, epsilon) for a connecting image t^v, by their definitions.
+def exponents(order, vs):
+    """[(delta, epsilon)] for the connecting images t^v, v in vs, by their
+    definitions.
 
     delta is the least d >= 1 with d*v in {0, N} (the exponent landing in
-    Lambda), epsilon the least d with d*v = 0 (landing in the kernel).  Both
-    are found by one walk of t = d*v mod M by addition, d stepping by 1, and
-    epsilon's search goes on from delta without assuming it is delta or
-    2*delta: that is one of the things the oracle checks.
+    Lambda), epsilon the least d with d*v = 0 (landing in the kernel).  All
+    are found by one walk, d stepping by 1, in which each v is a lane of
+    w = b + 1 bits of one int t, b = M.bit_length().  After d steps lane k
+    holds d*v_k mod M: a step adds the packed v's, which leaves each lane
+    below 2M - 1 < 2^(b+1), so no carry crosses a lane; adding 2^b - M sets
+    bit b exactly where a lane is >= M, and those lanes subtract M.  Adding
+    2^b - 1 sets bit b exactly where a lane is >= 1, so the lanes where it
+    stays clear are 0, and the same test on t XOR (N in every lane) finds
+    the lanes at N.  Each lane takes its delta at the first d it is in
+    {0, N} and its epsilon at the first d it is 0, without assuming that is
+    delta or 2*delta: that is one of the things the oracle checks.  The walk
+    ends once every lane has been 0, within M steps.
     """
     _require_even(order)
     half = order // 2
-    step = v % order
+    b = order.bit_length()
+    w = b + 1
+    ones = sum(1 << (k * w) for k in range(len(vs)))
+    top = ones << b
+    below = ones * ((1 << b) - 1)
+    wrap = ones * ((1 << b) - order)
+    halves = ones * half
+    step = sum((v % order) << (k * w) for k, v in enumerate(vs))
+    delta, epsilon = [0] * len(vs), [0] * len(vs)
+    no_delta = no_epsilon = top
     d, t = 1, step
-    while t != 0 and t != half:
+    while no_epsilon:
+        zero = top ^ ((t + below) & top)
+        if no_delta:
+            at_half = top ^ (((t ^ halves) + below) & top)
+            landed = (zero | at_half) & no_delta
+            if landed:
+                no_delta ^= landed
+                for k in _lanes(landed, w):
+                    delta[k] = d
+        kernel = zero & no_epsilon
+        if kernel:
+            no_epsilon ^= kernel
+            for k in _lanes(kernel, w):
+                epsilon[k] = d
         d += 1
-        t = (t + step) % order
-    delta = d
-    while t != 0:
-        d += 1
-        t = (t + step) % order
-    epsilon = d
-    assert half % delta == 0 and order % epsilon == 0
-    return delta, epsilon
+        t += step
+        t -= (((t + wrap) & top) >> b) * order
+    pairs = list(zip(delta, epsilon))
+    for lane_delta, lane_epsilon in pairs:
+        assert half % lane_delta == 0 and order % lane_epsilon == 0
+    return pairs
+
+
+def _lanes(mask, width):
+    """The k whose bit k*width + width - 1, the top bit of lane k, is set."""
+    bits = bin(mask)[:1:-1]
+    k = bits.find("1")
+    while k >= 0:
+        yield k // width
+        k = bits.find("1", k + 1)
 
 
 def _fixed_cosets(order, u):
@@ -129,11 +172,11 @@ def _fixed_cosets(order, u):
     return fixed
 
 
-def _compare_cycle(order, v, label, disagreements):
-    """Oracle counts for one connecting image t^v, checked against the
-    formula; each mismatch is appended to disagreements under label.
-    Returns the SweepEntry fields, whose first six are a CycleTranscript's."""
-    delta, epsilon = exponents(order, v)
+def _compare_cycle(order, v, delta, epsilon, label, disagreements):
+    """Oracle counts for one connecting image t^v, whose exponents are delta
+    and epsilon, checked against the formula; each mismatch is appended to
+    disagreements under label.  Returns the SweepEntry fields, whose first
+    six are a CycleTranscript's."""
     doublecoset = oval_classes_doublecoset(order, v)
     by_exponent = order // 2 // delta
     twisted = epsilon == 2 * delta
@@ -154,29 +197,45 @@ def _compare_cycle(order, v, label, disagreements):
 
 def cross_check(epi):
     """Run every oracle path against the closed-form counts for one action."""
-    validate(epi).require()
+    report = validate(epi)
+    report.require()
     sig = epi.sig
     order = epi.modulus
     disagreements = []
 
+    # An odd order has no e images, and no involution for the walk to take.
+    walks = exponents(order, epi.e_images) if epi.e_images else []
     per_cycle = tuple(
-        CycleTranscript(*_compare_cycle(order, v, f"cycle {j + 1} (v={v})", disagreements)[:6])
-        for j, v in enumerate(epi.e_images)
+        CycleTranscript(*_compare_cycle(
+            order, v, delta, epsilon, f"cycle {j + 1} (v={v})", disagreements)[:6])
+        for j, (v, (delta, epsilon)) in enumerate(zip(epi.e_images, walks))
     )
 
     # The points over the j-th cone point form Z_M/<u_j>, with t acting by
     # translation; a point is fixed by t^i exactly when its coset is.
     fixed = [_fixed_cosets(order, u) for u in epi.x_images]
     per_power = []
+    fixed_points = 0
     for i in range(1, order):
         counts = [by_power[i] for by_power in fixed]
         per_power.extend(
             PowerCosetCount(i, j, count) for j, count in enumerate(counts)
         )
         total = sum(counts)
+        fixed_points += total
         expected = isolated_fixed_points(sig, order, i)
         if total != expected:
             disagreements.append(f"power {i}: coset count {total}, formula {expected}")
+
+    # Euler: summed over the powers of t, the fixed sets' characteristics
+    # are M times the quotient's; ovals add 0, the identity 2 - p.
+    alpha = 2 if sig.sign is Sign.PLUS else 1
+    euler = 2 - report.kernel_genus + fixed_points
+    quotient = order * (2 - alpha * sig.genus - sig.empty_cycles)
+    if euler != quotient:
+        disagreements.append(
+            f"Euler: 2 - p + fixed points = {euler}, M(2 - alpha*g - k) = {quotient}"
+        )
 
     return OracleTranscript(
         order,
@@ -197,6 +256,7 @@ def involution_sweep(order):
     _require_even(order)
     disagreements = []
     entries = tuple(
-        SweepEntry(*_compare_cycle(order, v, f"v={v}", disagreements)) for v in range(order)
+        SweepEntry(*_compare_cycle(order, v, delta, epsilon, f"v={v}", disagreements))
+        for v, (delta, epsilon) in enumerate(exponents(order, range(order)))
     )
     return SweepTranscript(order, entries, not disagreements, tuple(disagreements))

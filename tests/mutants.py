@@ -132,14 +132,16 @@ MUTANTS = [
     # Parser: the lower bound on the first period of a list.
     ("signature.py", "values.append(integer(what, 2))\n            while",
      "values.append(integer(what))\n            while", "test_signature.py"),
-    # The oracle's exponents are their definitions, walked by addition: the
-    # epsilon walk goes on from d = delta itself, and the delta walk stops
-    # at N as well as at 0.  It reports a twist disagreement; the signature
-    # search counts what it builds.
-    ("oracle.py", "    delta = d\n    while t != 0:",
-     "    delta = d\n    d += 1\n    t = (t + step) % order\n    while t != 0:", "test_oracle.py"),
-    ("oracle.py", "while t != 0 and t != half:", "while t != 0:", "test_oracle.py"),
+    # The oracle's exponents are their definitions, walked in lanes of one
+    # int: a lane has a bit above M's for the carry, delta stops at N as
+    # well as at 0, and a lane keeps the first delta it takes.  It reports
+    # a twist disagreement and an Euler one; the signature search counts
+    # what it builds.
+    ("oracle.py", "    w = b + 1\n", "    w = b\n", "test_oracle.py"),
+    ("oracle.py", "(zero | at_half) & no_delta", "zero & no_delta", "test_oracle.py"),
+    ("oracle.py", " & no_delta", "", "test_oracle.py"),
     ("oracle.py", "if twisted != formula.twisted:", "if False:", "test_cli.py"),
+    ("oracle.py", "if euler != quotient:", "if False:", "test_cli.py"),
     ("census.py", "check_budget(built,", "check_budget(0,", "test_census.py"),
     # phi keeps the prime left above the square root.
     ("census.py", "if rest > 1 else", "if rest > 2 else", "test_census.py"),
@@ -189,8 +191,9 @@ def main():
         row_start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="necfix-mutant-") as tmp:
             caught, note = run_mutant(name, old, new, test, Path(tmp))
-        edit = next(line.strip() for line in new.splitlines()
-                    if line.strip() and line not in old.splitlines())
+        edit = next((line.strip() for line in new.splitlines()
+                     if line.strip() and line not in old.splitlines()),
+                    f"(deleted) {old.strip()}")
         print(f"{'caught' if caught else 'FAILED'}  {name}: {edit}")
         print(f"        {note} ({time.perf_counter() - row_start:.1f} s)")
         survivors += not caught

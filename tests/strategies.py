@@ -56,6 +56,15 @@ VALID_POOL_MAPS = [
 ]
 
 
+@st.composite
+def exponent_walks(draw):
+    """(M, vs) for oracle.exponents: an even M in [2, 1000] and a list of v
+    in [-2M, 2M), possibly empty and with repeats."""
+    order = 2 * draw(st.integers(min_value=1, max_value=500))
+    vs = draw(st.lists(st.integers(min_value=-2 * order, max_value=2 * order - 1), max_size=12))
+    return order, vs
+
+
 def closure_set(modulus, gens):
     """subgroup_generated's mask decoded into the set of its members, the h
     in [0, modulus) whose bit is set; no bit at or above modulus may be."""

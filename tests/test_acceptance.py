@@ -108,8 +108,7 @@ def test_criterion_4_oval_count_oracle():
     budget = _Budget(10.0)
     for order in range(2, 101, 2):
         half = order // 2
-        for v in range(order):
-            delta, _ = exponents(order, v)
+        for v, (delta, _) in enumerate(exponents(order, range(order))):
             assert (
                 oval_classes_doublecoset(order, v)
                 == math.gcd(half, v)
@@ -122,8 +121,7 @@ def test_criterion_5_twist_oracle():
     budget = _Budget(10.0)
     for order in range(2, 101, 2):
         half = order // 2
-        for v in range(order):
-            delta, epsilon = exponents(order, v)
+        for v, (delta, epsilon) in enumerate(exponents(order, range(order))):
             assert epsilon in (delta, 2 * delta)
             twisted = epsilon == 2 * delta
             assert twisted == (math.gcd(order, v) == math.gcd(half, v))

@@ -644,7 +644,7 @@ def test_verify_reports_twist_and_epsilon_disagreements(capsys, monkeypatch):
     # epsilon = 3*delta: the exponent law fails before the twist does.
     exponents = oracle.exponents
     monkeypatch.setattr(oracle, "exponents",
-                        lambda order, v: (exponents(order, v)[0], 3 * exponents(order, v)[0]))
+                        lambda order, vs: [(delta, 3 * delta) for delta, _ in exponents(order, vs)])
     code, out, err = run_cli(capsys, "verify", "--all-v", "--order", "4")
     assert code == 3
     assert out == "order 4: swept v=0..3, agreement=False\n"
@@ -666,6 +666,26 @@ def test_census_disagreement_exits_3(capsys, monkeypatch):
     assert out.startswith("census: order 4, max genus 6, 132 row(s)\n")
     assert err == ("oracle disagreement: (0;+;[2,4];{()}) M=4 x=2,1;e=1;c=2: "
                    "cycle 1 (v=1): double-coset 1, N/delta 1, gcd formula 2\n")
+
+
+def test_census_euler_disagreement_exits_3(capsys, monkeypatch):
+    import necfix.epimorphism as epimorphism
+
+    # Every kernel genus is one too high: only the Euler identity sees it.
+    kernel_genus = epimorphism.kernel_genus
+    monkeypatch.setattr(epimorphism, "kernel_genus",
+                        lambda sig, order: kernel_genus(sig, order) + 1)
+    epimorphism._verdict.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "census", "--order", "4", "--max-genus", "8",
+                                 "--verify")
+    finally:
+        monkeypatch.undo()
+        epimorphism._verdict.cache_clear()
+    assert code == 3
+    assert out.startswith("census: order 4, max genus 8, 318 row(s)\n")
+    assert err == ("oracle disagreement: (0;+;[2,4];{()}) M=4 x=2,1;e=1;c=2: "
+                   "Euler: 2 - p + fixed points = 3, M(2 - alpha*g - k) = 4\n")
 
 
 @pytest.mark.parametrize("order, max_genus", [("1000000007", "3"), ("720720", "12")])
@@ -945,6 +965,14 @@ PINNED_STDOUT = [
         4,
         "adf95d83207ff5d67b7053b03c23cb2d9b9bb15b6326e68e09e7ae54f8102294",
     ),
+    # Three connecting images whose exponent walks end at different steps
+    # (epsilon = 1, 4 and 12).
+    (
+        ("verify", "(0;+;[3];{()()()})", "--order", "12", "--map", "x=4;e=0,3,5;c=6,6,6",
+         "--format", "json"),
+        0,
+        "fb65323ed2686378a3ef68219d2cc6083636d3ddf1ff95bf4faeaebe70c3276a",
+    ),
 ]
 
 
@@ -963,8 +991,9 @@ def test_json_stdout_is_pinned(capsys, argv, exit_code, digest):
 
 
 # sha256 of verify's json stdout: the sweep at a spread of even orders, up
-# to 1000, the largest the budget admits, and one map of (0;+;[M,M,2];{()})
-# at each order action-ladder in perfbench sends.
+# to 1000, the largest the budget admits, among them 126, 254 and 510, just
+# below a power of two, where 2^b - M is 2, its smallest; and one map of
+# (0;+;[M,M,2];{()}) at each order action-ladder in perfbench sends.
 PINNED_SWEEPS = {
     2: "d7ca2074591903e26928e33a5a91898532314660dc15e1e0e99c772c56cd6f00",
     4: "486b7d09b86c48fa2a9584ee195e11edcfc5276a641b73dc47a0e2d662706216",
@@ -973,8 +1002,11 @@ PINNED_SWEEPS = {
     30: "0f2cf1fa050119fa02813c8fdb2cb57c2a2187a2e96b58e1d568b8e48f269b15",
     64: "e55f5b8ca51e5e325df2700df88a0876d1a05e2da4edc5097e2a17e25fa120c4",
     100: "c49a5e77d7404c27c182d31e76d62bd27e4011359dd5c0d56741e9c04a602eb7",
+    126: "5ddf7c944eb60030c2eda93fa2e6a8c68942c3bfc51a88539422d5e4ad5ec369",
     210: "794cc3dc41882a8f759f49af3d0e2d99352101cfb93fa467b3ef6909d13b13d4",
+    254: "6ec0d935e3e6d9b6cdd805a8afce1dea11d07d94008e91282a170827695dfec3",
     360: "5f659e82c1eccbcc606005e45c91b2eb899d16e08dac1586d62071bfcb6723cf",
+    510: "75f7e62e4357118a83eb7a678555a98c2ae86e65b9a92291e719c728711721bd",
     512: "5055649515979e754508c759296d59c6bb8638a0a6a19de3b152ea1827dd7f0a",
     1000: "9625a1645299906af1865667ba3a687deee1d8ebc292a67a960dff809d87188d",
 }

@@ -17,7 +17,7 @@ from necfix import (
 )
 from necfix.oracle import PowerCosetCount
 
-from strategies import SIG_POOL, VALID_POOL_MAPS, closure_set
+from strategies import SIG_POOL, VALID_POOL_MAPS, closure_set, exponent_walks
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
 EXAMPLE2 = parse_signature("(0;+;[2,2,4,4];{()})")
@@ -33,21 +33,47 @@ def test_oval_classes_doublecoset(order, v, expected):
     [(14, 5, 7, 14), (4, 0, 1, 1), (10, 4, 5, 5), (2, 1, 1, 2)],
 )
 def test_exponents(order, v, delta, epsilon):
-    assert exponents(order, v) == (delta, epsilon)
+    assert exponents(order, [v]) == [(delta, epsilon)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_walks())
+def test_exponents_match_their_definitions(walk):
+    order, vs = walk
+    half = order // 2
+    expected = [
+        (next(d for d in range(1, order + 1) if d * v % order in (0, half)),
+         next(d for d in range(1, order + 1) if d * v % order == 0))
+        for v in vs
+    ]
+    assert exponents(order, vs) == expected
+
+
+def test_exponent_lanes_are_independent():
+    # Lanes of every v at the largest order the budget admits end at every
+    # epsilon dividing 1000; each must read as it does alone.
+    assert exponents(1000, range(1000)) == [exponents(1000, [v])[0] for v in range(1000)]
+
+
+def test_exponents_of_no_images():
+    assert exponents(4, []) == []
+    with pytest.raises(ValueError, match="odd"):
+        exponents(9, [])
 
 
 @pytest.mark.parametrize("order, v, twisted", [(14, 5, True), (10, 4, False), (4, 0, False)])
 def test_twist_oracle(order, v, twisted):
     # Twisted iff the delta-th power of the connecting element maps to the
     # involution, i.e. epsilon = 2*delta.
-    delta, epsilon = exponents(order, v)
+    [(delta, epsilon)] = exponents(order, [v])
     assert (epsilon == 2 * delta) is twisted
 
 
-@pytest.mark.parametrize("func", [oval_classes_doublecoset, exponents])
-def test_odd_order_rejected(func):
+@pytest.mark.parametrize("func, v", [(oval_classes_doublecoset, 3), (exponents, [3])],
+                         ids=["oval_classes_doublecoset", "exponents"])
+def test_odd_order_rejected(func, v):
     with pytest.raises(ValueError, match="odd"):
-        func(9, 3)
+        func(9, v)
 
 
 @pytest.mark.parametrize(
@@ -108,8 +134,7 @@ def test_exponent_laws_small_sweep():
     # The acceptance suite sweeps to 100; keep a quick version here.
     for order in range(2, 41, 2):
         half = order // 2
-        for v in range(order):
-            delta, epsilon = exponents(order, v)
+        for v, (delta, epsilon) in enumerate(exponents(order, range(order))):
             assert epsilon in (delta, 2 * delta)
             assert oval_classes_doublecoset(order, v) == math.gcd(half, v) == half // delta
             assert (epsilon == 2 * delta) == (math.gcd(order, v) == math.gcd(half, v))
