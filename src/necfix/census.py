@@ -97,22 +97,22 @@ def enumerate_signatures(order, max_genus):
     top = 2 + (max_genus - 2) // order
     search = ("the signature search at order {} up to max genus {} counts at least {} "
               "starts, period entries and candidate maps")
-    signs = ((Sign.PLUS, 2, range(0, top // 2 + 1)), (Sign.MINUS, 1, range(1, top + 1)))
+    signs = ((Sign.PLUS, range(0, top // 2 + 1)), (Sign.MINUS, range(1, top + 1)))
     # One start per (sign, genus, cycle count) with alpha*genus + cycles <= top,
     # summed over each range of genera in closed form before any walk.
     built = sum(len(genera) if order % 2 else
-                len(genera) * (2 * top + 2 - alpha * (genera.start + genera.stop - 1)) // 2
-                for _, alpha, genera in signs)
-    for sign, alpha, genera in signs:
+                len(genera) * (2 * top + 2 - sign.alpha * (genera.start + genera.stop - 1)) // 2
+                for sign, genera in signs)
+    for sign, genera in signs:
         for genus in genera:
             # A reflection needs an involution image, so odd orders take no cycles.
-            for cycles in range(top - alpha * genus + 1 if order % 2 == 0 else 1):
+            for cycles in range(top - sign.alpha * genus + 1 if order % 2 == 0 else 1):
                 # Period tuples one length at a time.  Entries: (tuple, index
                 # of its last divisor, left = max_genus - p).  Each extends a
                 # tuple one shorter by a divisor no smaller than its last whose
                 # cost M - M/m still fits (costs rise with m, so bisect finds
                 # the last one), so left >= 0; it is kept if p >= 3.
-                level = [((), 0, max_genus - 2 - order * (alpha * genus + cycles - 2))]
+                level = [((), 0, max_genus - 2 - order * (sign.alpha * genus + cycles - 2))]
                 while level:
                     spans = []
                     for periods, i, left in level:
@@ -143,7 +143,7 @@ def _iter_epimorphisms(sig, order):
     plus = sig.sign is Sign.PLUS
     r = len(sig.periods)
     x_slots = [[order // m * k for k in units(m)] for m in sig.periods]
-    n_orient = 2 * sig.genus if plus else sig.genus
+    n_orient = sig.sign.alpha * sig.genus
     solved = r + cycles - 1 if plus else r + cycles + n_orient - 1
     weights = (1,) * (r + cycles) + (0 if plus else 2,) * n_orient
     weights = weights[:solved] + weights[solved + 1 :]
@@ -176,7 +176,7 @@ def candidate_count(genus, sign, periods, cycles, order):
     if (cycles and order % 2) or (plus and not cycles) or any(order % m for m in periods):
         return 0
     phis = [_phi(m) for m in periods]
-    power = cycles + (2 * genus if plus else genus) - 1
+    power = cycles + sign.alpha * genus - 1
     size = sum(map(math.log10, phis)) + power * math.log10(order)
     if size >= 99:
         sig = format_signature(NecSignature(genus, sign, periods, cycles))

@@ -35,7 +35,7 @@ from .census import (
 from .epimorphism import format_map_text, parse_map_text, validate
 from .fixedpoints import full_report, twists_field
 from .oracle import cross_check, involution_sweep
-from .signature import ParseError, Sign, format_signature, parse_signature
+from .signature import ParseError, format_signature, parse_signature
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,8 +70,7 @@ def _signature(text):
     """parse_signature, refusing a signature whose maps list more images than
     the budget, before any text or list of that length is built."""
     sig = parse_signature(text)
-    count = (len(sig.periods) + 2 * sig.empty_cycles
-             + (2 * sig.genus if sig.sign is Sign.PLUS else sig.genus))
+    count = len(sig.periods) + 2 * sig.empty_cycles + sig.sign.alpha * sig.genus
     check_budget(count, "the signature has {} generators", count)
     return sig
 

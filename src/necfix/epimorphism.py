@@ -45,7 +45,7 @@ class CyclicEpimorphism:
             ("x_images", len(sig.periods), "x"),
             ("e_images", sig.empty_cycles, "e"),
             ("c_images", sig.empty_cycles, "c"),
-            ("orient_images", 2 * sig.genus if plus else sig.genus, "a/b" if plus else "glide"),
+            ("orient_images", sig.sign.alpha * sig.genus, "a/b" if plus else "glide"),
         ):
             images = getattr(self, field)
             if type(images) is not tuple or images and not (

@@ -9,14 +9,15 @@ reflection and one connecting generator; cycles with link periods are still
 representable so that validation can reject them with a reason instead of
 refusing to parse them.
 
-All arithmetic is exact.  Measures are `fractions.Fraction` values and the
-kernel genus is an integer or an error, never a rounded float.
+All arithmetic is exact.  A measure is one `Fraction` summed in integers, and
+the kernel genus is an integer or an error, never a rounded float.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,9 @@ from fractions import Fraction
 class Sign(enum.Enum):
     PLUS = "+"
     MINUS = "-"
+
+    # Generators per unit of genus: 2 (a and b) for '+', 1 (a glide) for '-'.
+    alpha = property(lambda self: 2 if self is Sign.PLUS else 1)
 
 
 class ParseError(ValueError):
@@ -169,19 +173,16 @@ def format_signature(sig):
 def orbifold_measure(sig):
     """Normalized hyperbolic measure mu/(2*pi) of the quotient orbifold.
 
-    alpha*g + (number of cycles) + sum(1 - 1/m_i) - 2, with alpha = 2 for
-    sign '+' and 1 for sign '-'; a link period n contributes (1 - 1/n)/2.
-    Positive exactly when the signature belongs to a cocompact hyperbolic
-    group.
+    alpha*g + (number of cycles) + sum(1 - 1/m_i) - 2 with alpha = sign.alpha;
+    a link period n contributes (1 - 1/n)/2.  Summed in integers over the lcm
+    of the periods and of twice each link period.  Positive exactly when the
+    signature belongs to a cocompact hyperbolic group.
     """
-    alpha = 2 if sig.sign is Sign.PLUS else 1
-    total = Fraction(alpha * sig.genus + sig.empty_cycles + len(sig.nonempty_cycles) - 2)
-    for m in sig.periods:
-        total += 1 - Fraction(1, m)
-    for cycle in sig.nonempty_cycles:
-        for n in cycle:
-            total += (1 - Fraction(1, n)) / 2
-    return total
+    links = [n for cycle in sig.nonempty_cycles for n in cycle]
+    den = math.lcm(*sig.periods, *[2 * n for n in links])
+    total = den * (sig.sign.alpha * sig.genus + sig.empty_cycles + len(sig.nonempty_cycles) - 2)
+    total += sum([den - den // m for m in sig.periods])
+    return Fraction(total + sum([den // 2 - den // (2 * n) for n in links]), den)
 
 
 def kernel_genus(sig, order):
@@ -189,15 +190,15 @@ def kernel_genus(sig, order):
 
     The kernel's measure is `order` times the quotient's, and a closed
     non-orientable surface of genus p has normalized measure p - 2, so
-    p = order * measure + 2.  Raises ValueError when the measure is not
-    positive or when p fails to be an integer (then no torsion-free kernel
-    of that index exists).
+    p = order * measure + 2, an exact division of integers.  Raises
+    ValueError when the measure is not positive or when p fails to be an
+    integer (then no torsion-free kernel of that index exists).
     """
     measure = orbifold_measure(sig)
     if measure <= 0:
         raise ValueError(f"orbifold measure {measure} is not positive; no surface-kernel quotient")
-    p = order * measure + 2
-    if p.denominator != 1:
-        raise ValueError(f"kernel genus {p} is not an integer; no index-{order} surface kernel")
-    return int(p)
-
+    p, rest = divmod(order * measure.numerator + 2 * measure.denominator, measure.denominator)
+    if rest:
+        raise ValueError(f"kernel genus {order * measure + 2} is not an integer; "
+                         f"no index-{order} surface kernel")
+    return p
