@@ -252,6 +252,12 @@ def _census_task(args):
             for epi in enumerate_epimorphisms(sig, order, up_to_aut)]
     disagreements = []
     if verify:
+        # Aut(Z_M) acts freely on valid maps (a unit fixing generating images
+        # is 1), so each orbit has len(units) rows, one of them canonical.
+        canonical = sum(row.canonical for row in rows)
+        if not up_to_aut and len(rows) != len(units(order)) * canonical:
+            disagreements.append(f"{format_signature(sig)} M={order}: {len(rows)} rows, not "
+                                 f"{len(units(order))} units x {canonical} canonical")
         for row in rows:
             transcript = cross_check(row.epi)
             if not transcript.agreement:

@@ -143,6 +143,14 @@ MUTANTS = [
     ("oracle.py", "if twisted != formula.twisted:", "if False:", "test_cli.py"),
     ("oracle.py", "if euler != quotient:", "if False:", "test_cli.py"),
     ("census.py", "check_budget(built,", "check_budget(0,", "test_census.py"),
+    # Riemann-Hurwitz in integers: a link period counts half a period, a
+    # kernel genus is refused unless the division is exact, and alpha is 2
+    # for sign '+'.  census --verify counts each Aut(Z_M) orbit's rows.
+    ("signature.py", "den // 2 - den // (2 * n)", "den - den // n", "test_signature.py"),
+    ("signature.py", "    if rest:\n", "    if False:\n", "test_signature.py"),
+    ("signature.py", "2 if self is Sign.PLUS else 1", "1 if self is Sign.PLUS else 2",
+     "test_signature.py"),
+    ("census.py", "units(order)[1:]", "units(order)[2:]", "test_cli.py"),
     # phi keeps the prime left above the square root.
     ("census.py", "if rest > 1 else", "if rest > 2 else", "test_census.py"),
     # The closure grows by doubling an M-bit set: its rotation keeps no bit

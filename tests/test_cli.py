@@ -688,6 +688,19 @@ def test_census_euler_disagreement_exits_3(capsys, monkeypatch):
                    "Euler: 2 - p + fixed points = 3, M(2 - alpha*g - k) = 4\n")
 
 
+def test_census_orbit_disagreement_exits_3(capsys, monkeypatch):
+    import necfix.census as census
+
+    # Every map claims to be canonical: each two-map orbit at order 4 then
+    # counts two canonical rows, which only the orbit count sees.
+    monkeypatch.setattr(census, "is_canonical", lambda epi: True)
+    code, out, err = run_cli(capsys, "census", "--order", "4", "--max-genus", "6", "--verify")
+    assert code == 3
+    assert out.startswith("census: order 4, max genus 6, 132 row(s)\n")
+    assert err == ("oracle disagreement: (0;+;[2,4];{()}) M=4: "
+                   "2 rows, not 2 units x 2 canonical\n")
+
+
 @pytest.mark.parametrize("order, max_genus", [("1000000007", "3"), ("720720", "12")])
 def test_census_at_a_large_prime_order_finishes(order, max_genus):
     # A prime order near 10^9: the divisor search must stop at its square

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from necfix import (
     NecSignature,
@@ -191,6 +192,36 @@ def test_kernel_genus_consistent_with_measure(sig):
     order = 2 * sig.periods[0] if sig.periods else 6
     if measure > 0 and (order * measure).denominator == 1:
         assert kernel_genus(sig, order) - 2 == order * measure
+
+
+def _term_by_term_measure(sig):
+    # The Riemann-Hurwitz terms one Fraction at a time, independent of the
+    # library's integer sum over a common denominator.
+    alpha = 2 if sig.sign is Sign.PLUS else 1
+    total = Fraction(alpha * sig.genus + sig.empty_cycles + len(sig.nonempty_cycles) - 2)
+    for m in sig.periods:
+        total += 1 - Fraction(1, m)
+    for cycle in sig.nonempty_cycles:
+        for n in cycle:
+            total += (1 - Fraction(1, n)) / 2
+    return total
+
+
+@given(signatures(allow_links=True), st.integers(min_value=1, max_value=60))
+def test_measure_and_genus_match_a_term_by_term_sum(sig, order):
+    measure = _term_by_term_measure(sig)
+    assert orbifold_measure(sig) == measure
+    p = order * measure + 2
+    if measure > 0 and p.denominator == 1:
+        assert kernel_genus(sig, order) == p
+        return
+    if measure <= 0:
+        text = f"orbifold measure {measure} is not positive; no surface-kernel quotient"
+    else:
+        text = f"kernel genus {p} is not an integer; no index-{order} surface kernel"
+    with pytest.raises(ValueError) as refusal:
+        kernel_genus(sig, order)
+    assert str(refusal.value) == text
 
 
 @given(signatures())
