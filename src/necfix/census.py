@@ -24,7 +24,7 @@ from itertools import groupby, product
 from .epimorphism import CyclicEpimorphism, format_map_text, validate
 from .fixedpoints import full_report, twists_field
 from .oracle import cross_check
-from .signature import NecSignature, Sign, format_signature, kernel_genus
+from .signature import NecSignature, Sign, format_signature, kernel_genus, sized, ten_to
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,11 @@ def check_budget(count, what, *values):
 
 
 def _shown(value):
-    if isinstance(value, int) and value >= 10**99:
-        return _ten_to(math.log10(value))
+    if isinstance(value, int):
+        return sized(value)
     if isinstance(value, str) and len(value) >= 100:
         return f"{value[:40]}... ({len(value)} characters)"
     return value
-
-
-def _ten_to(exponent):
-    """10^exponent as text, the exponent to 6 significant digits or to all
-    digits of its integer part, so never in exponent notation."""
-    return f"10^{exponent:.{max(6, len(str(round(exponent))))}g}"
 
 
 def _small_divisors(n):
@@ -127,13 +121,12 @@ def enumerate_signatures(order, max_genus):
     return [NecSignature(*args) for args in out]
 
 
-def _iter_epimorphisms(sig, order):
-    """Yield the valid assignments for one signature, in lexicographic order
-    of the (x, e, orientation) image tuple.  x images have exact order m_i,
-    and the long relation (weight 1 for x and e, 2 for glides, 0 for a/b)
-    fixes the last e image (sign '+') or glide (sign '-', none or two roots
-    at even order), so a map is built only when it holds; validate decides
-    the rest.  The budget refuses candidate_count before any map is built."""
+def _iter_epimorphisms(sig, order, up_to_aut=False):
+    """Yield the rows of one signature in lexicographic order of the (x, e,
+    orientation) images.  x images have exact order m_i; the long relation
+    (weight 1 for x and e, 2 for glides, 0 for a/b) fixes the last e image or
+    glide (none or two roots at even order).  up_to_aut skips a non-canonical
+    map before validate (units keep validity).  The budget refuses first."""
     size = 0 if sig.nonempty_cycles else candidate_count(
         sig.genus, sig.sign, sig.periods, sig.empty_cycles, order)
     check_budget(size, "{} has {} candidate maps at order {}", format_signature(sig), size, order)
@@ -160,8 +153,10 @@ def _iter_epimorphisms(sig, order):
             images = (*free[:solved], root, *free[solved:])
             xs, es, orient = images[:r], images[r : r + cycles], images[r + cycles :]
             epi = CyclicEpimorphism(sig, order, xs, es, c_fixed, orient)
+            if up_to_aut and not is_canonical(epi):
+                continue
             if validate(epi).valid:
-                yield epi
+                yield CensusRow(epi, up_to_aut or is_canonical(epi))
 
 
 def candidate_count(genus, sign, periods, cycles, order):
@@ -180,7 +175,7 @@ def candidate_count(genus, sign, periods, cycles, order):
     size = sum(map(math.log10, phis)) + power * math.log10(order)
     if size >= 99:
         sig = format_signature(NecSignature(genus, sign, periods, cycles))
-        check_budget(math.inf, "{} has {} candidate maps at order {}", sig, _ten_to(size), order)
+        check_budget(math.inf, "{} has {} candidate maps at order {}", sig, ten_to(size), order)
     return math.prod(phis) * order ** power
 
 
@@ -221,14 +216,14 @@ def enumerate_epimorphisms(sig, order, up_to_aut=False):
     Reflection images are pinned to order/2 (the only candidate value), each
     x image runs over the elements of exact order m_i, and one e or glide
     image is solved from the long relation, so a map is built only when the
-    long relation holds.  With up_to_aut, only the lexicographically least
-    representative of each orbit under unit multiplication is kept.  Returns
+    long relation holds.  With up_to_aut, a map that is not the least of its
+    orbit under unit multiplication is skipped before it is validated.  Returns
     an empty list when no such smooth epimorphism exists, and raises
     ValueError when more than MAX_CANDIDATES maps would be tried.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    return [e for e in _iter_epimorphisms(sig, order) if not up_to_aut or is_canonical(e)]
+    return [row.epi for row in _iter_epimorphisms(sig, order, up_to_aut)]
 
 
 def shadow_key(epi):
@@ -248,8 +243,7 @@ def shadow_key(epi):
 
 def _census_task(args):
     sig, order, up_to_aut, verify = args
-    rows = [CensusRow(epi, up_to_aut or is_canonical(epi))
-            for epi in enumerate_epimorphisms(sig, order, up_to_aut)]
+    rows = list(_iter_epimorphisms(sig, order, up_to_aut))
     disagreements = []
     if verify:
         # Aut(Z_M) acts freely on valid maps (a unit fixing generating images

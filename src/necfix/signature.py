@@ -185,6 +185,23 @@ def orbifold_measure(sig):
     return Fraction(total + sum([den // 2 - den // (2 * n) for n in links]), den)
 
 
+def ten_to(exponent):
+    """10^exponent as text, the exponent to 6 significant digits or to all
+    digits of its integer part, so never in exponent notation."""
+    return f"10^{exponent:.{max(6, len(str(round(exponent))))}g}"
+
+
+def sized(value):
+    """An integer or fraction as str() writes it, but with each integer of 100
+    digits or more (str() refuses over 4300) written by its size, 10^log10."""
+    if isinstance(value, Fraction):
+        den = value.denominator
+        return sized(value.numerator) + (f"/{sized(den)}" if den > 1 else "")
+    if abs(value) < 10**99:
+        return str(value)
+    return "-" * (value < 0) + ten_to(math.log10(abs(value)))
+
+
 def kernel_genus(sig, order):
     """Cross-cap genus of the surface uniformized by an index-`order` kernel.
 
@@ -196,9 +213,10 @@ def kernel_genus(sig, order):
     """
     measure = orbifold_measure(sig)
     if measure <= 0:
-        raise ValueError(f"orbifold measure {measure} is not positive; no surface-kernel quotient")
+        raise ValueError(f"orbifold measure {sized(measure)} is not positive; "
+                         "no surface-kernel quotient")
     p, rest = divmod(order * measure.numerator + 2 * measure.denominator, measure.denominator)
     if rest:
-        raise ValueError(f"kernel genus {order * measure + 2} is not an integer; "
+        raise ValueError(f"kernel genus {sized(order * measure + 2)} is not an integer; "
                          f"no index-{order} surface kernel")
     return p

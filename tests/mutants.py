@@ -103,12 +103,14 @@ MUTANTS = [
     # A constructor keeps only tuples already reduced into [0, modulus).
     ("epimorphism.py", "max(images) < modulus)", "max(images) <= modulus)",
      "test_epimorphism.py"),
-    # One path from census arguments to bytes: --up-to-aut is filtered by
-    # the one enumeration, each written row takes its report from
-    # full_report, --output is replaced rather than appended to, and the
-    # table's equality marker reads the CSV slack.
-    ("census.py", "enumerate_epimorphisms(sig, order, up_to_aut)]",
-     "enumerate_epimorphisms(sig, order)]", "test_cli.py"),
+    # One path from census arguments to bytes: --up-to-aut is decided by
+    # the one enumeration, which skips a non-canonical map before validate,
+    # each written row takes its report from full_report, --output is
+    # replaced rather than appended to, and the table's equality marker
+    # reads the CSV slack.
+    ("census.py", "list(_iter_epimorphisms(sig, order, up_to_aut))",
+     "list(_iter_epimorphisms(sig, order))", "test_cli.py"),
+    ("census.py", "if up_to_aut and not is_canonical(epi):", "if False:", "test_cli.py"),
     ("census.py",
      "            report = full_report(epi)\n"
      "            middle = shared.get(epi.e_images)\n            if middle is None:\n",
@@ -151,6 +153,11 @@ MUTANTS = [
     ("signature.py", "2 if self is Sign.PLUS else 1", "1 if self is Sign.PLUS else 2",
      "test_signature.py"),
     ("census.py", "units(order)[1:]", "units(order)[2:]", "test_cli.py"),
+    # A wrong isolated-point count and a wrong kernel genus; each also makes
+    # census --order 4 --max-genus 12 --verify exit 3.
+    ("fixedpoints.py", "sig.periods if m % d == 0", "sig.periods[1:] if m % d == 0",
+     "test_cli.py"),
+    ("signature.py", "+ 2 * measure.denominator", "+ 3 * measure.denominator", "test_cli.py"),
     # phi keeps the prime left above the square root.
     ("census.py", "if rest > 1 else", "if rest > 2 else", "test_census.py"),
     # The closure grows by doubling an M-bit set: its rotation keeps no bit

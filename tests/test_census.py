@@ -310,6 +310,25 @@ def test_unit_orbits_partition_valid_maps():
             assert orbit_reps == set(canonical)
 
 
+def test_up_to_aut_skips_non_canonical_maps_before_validate(monkeypatch):
+    # Units keep validity, so skipping a non-canonical map before validate
+    # leaves exactly the canonical rows of the full enumeration.
+    seen = []
+
+    def recording_validate(epi):
+        seen.append(epi)
+        return validate(epi)
+
+    monkeypatch.setattr(necfix.census, "validate", recording_validate)
+    for order in [*range(1, 17), 24, 30]:
+        for sig in enumerate_signatures(order, 8):
+            full = enumerate_epimorphisms(sig, order)
+            seen.clear()
+            reduced = enumerate_epimorphisms(sig, order, up_to_aut=True)
+            assert reduced == [e for e in full if is_canonical(e)]
+            assert all(map(is_canonical, seen))
+
+
 def test_high_genus_rows_exist_for_minus_signatures():
     sig = parse_signature("(3;-;[];{})")
     epis = enumerate_epimorphisms(sig, 3)

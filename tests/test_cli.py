@@ -81,6 +81,24 @@ def test_analyze_invalid_map_exits_4(capsys):
     ]
 
 
+def test_analyze_huge_measure_genus_text_is_written_by_size(capsys):
+    # The measure over the first 2,000 primes has a denominator of about 7,482
+    # digits, beyond the 4,300 that str() writes, so its parts print as 10^x.
+    primes = [n for n in range(2, 17390) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert len(primes) == 2000
+    code, out, err = run_cli(
+        capsys,
+        "analyze", f"(0;+;[{','.join(map(str, primes))}];{{()}})", "--order", "2",
+        "--map", f"x={','.join(['1'] * 2000)};e=1",
+    )
+    assert code == 4
+    assert err == ""
+    genus = [line for line in out.splitlines() if line.startswith("FAIL GENUS")]
+    assert len(genus) == 1
+    assert re.search(r" kernel genus 10\^[0-9.]+/10\^[0-9.]+ is not an integer; "
+                     r"no index-2 surface kernel$", genus[0])
+
+
 def test_analyze_csv_invalid_map_keeps_stdout_empty(capsys):
     code, out, err = run_cli(
         capsys,

@@ -17,6 +17,7 @@ from necfix import (
     orbifold_measure,
     parse_signature,
 )
+from necfix.signature import sized
 
 from strategies import signatures
 
@@ -184,6 +185,21 @@ def test_kernel_genus_rejects_nonpositive_measure():
 def test_kernel_genus_rejects_nonintegral():
     with pytest.raises(ValueError, match="not an integer"):
         kernel_genus(parse_signature("(0;+;[2,7];{()})"), 13)
+
+
+def test_refusal_texts_write_huge_parts_by_their_size():
+    # str() refuses an integer of over 4300 digits, so a numerator or
+    # denominator of 100 digits or more is written as 10^log10 of its size.
+    assert sized(Fraction(93, 14)) == "93/14"
+    assert sized(Fraction(-1, 3)) == "-1/3"
+    assert sized(-2) == "-2"
+    assert sized(10**99 - 1) == "9" * 99
+    assert sized(Fraction(-(10**5000), 3)) == "-10^5000/3"
+    a = 10**60
+    with pytest.raises(ValueError) as refusal:
+        kernel_genus(NecSignature(0, Sign.PLUS, (a, a + 1)), 6)
+    assert str(refusal.value) == (f"orbifold measure -{2 * a + 1}/10^120 is not positive; "
+                                  "no surface-kernel quotient")
 
 
 @given(signatures())
