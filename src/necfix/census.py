@@ -14,12 +14,12 @@ import bisect
 import csv
 import functools
 import hashlib
-import json
 import math
 import operator
 import os
-from dataclasses import dataclass
-from itertools import groupby, product
+from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain, groupby, product
+from json.encoder import encode_basestring_ascii as _string
 
 from .epimorphism import CyclicEpimorphism, format_map_text, validate
 from .fixedpoints import full_report, twists_field
@@ -415,10 +415,85 @@ def write_census_jsonl(rows, fh):
     return count
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, default=vars)
-
-
 def to_json(obj):
-    """The one JSON encoding of every record necfix prints: keys sorted, and
-    each dataclass written as its fields (``vars``), tuples as arrays."""
-    return _ENCODER.encode(obj)
+    """The one JSON encoding of every record necfix prints: what
+    json.dumps(obj, sort_keys=True) writes of the record copied into plain
+    dicts and lists (keys sorted, ASCII, tuples as arrays, each dataclass as
+    an object of its fields).  Each dataclass type gets one format of its
+    sorted field names, built when it is first met, and a tuple of one record
+    type whose fields are all int or bool is written in one pass through that
+    type's format.  Strings, ints, bools, None, tuples, lists and dicts with
+    str keys are the other types; any other raises TypeError."""
+    # A census line's strings (signature, images, shadow key) skip dispatch.
+    return _string(obj) if type(obj) is str else _json(obj)
+
+
+def _json(obj):
+    write = _WRITERS.get(type(obj)) or _layout(type(obj))
+    return write(obj)
+
+
+def _array(items):
+    if not items:
+        return "[]"
+    kind = type(items[0])
+    if kind not in _WRITERS:
+        _layout(kind)
+    rows = _ROWS.get(kind)
+    if rows and len(set(map(type, items))) == 1:
+        return "[" + rows(items) + "]"
+    return "[" + ", ".join(map(_json, items)) + "]"
+
+
+def _object(record):
+    pairs = [f"{_string(key)}: {_json(value)}" for key, value in sorted(record.items())]
+    return "{" + ", ".join(pairs) + "}"
+
+
+def _layout(kind):
+    """Build and keep the writers of one dataclass type.  Its one format
+    writes the fields in sorted order, an int field by %d and any other by
+    the text of its value; when every field is an int or a bool, a tuple of
+    such records is written in one pass through that format, each bool
+    looked up as true or false."""
+    if not is_dataclass(kind):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    ordered = sorted(fields(kind), key=lambda field: field.name)
+    names = [field.name for field in ordered]
+    get = (operator.attrgetter(*names) if len(names) > 1
+           else lambda obj: tuple(getattr(obj, name) for name in names))
+    ints = [field.type in (int, "int") for field in ordered]
+    row = "{" + ", ".join(f"{_string(name)}: {'%d' if is_int else '%s'}"
+                          for name, is_int in zip(names, ints)) + "}"
+    encoded = [j for j, is_int in enumerate(ints) if not is_int]
+
+    def write(obj):
+        values = list(get(obj))
+        for j in encoded:
+            values[j] = _json(values[j])
+        return row % tuple(values)
+
+    if all(field.type in (int, "int", bool, "bool") for field in ordered):
+
+        def rows(items):
+            values = list(chain.from_iterable(map(get, items)))
+            for j in encoded:
+                values[j :: len(names)] = map(_BOOLS.__getitem__, values[j :: len(names)])
+            return ", ".join([row] * len(items)) % tuple(values)
+
+        _ROWS[kind] = rows
+    _WRITERS[kind] = write
+    return write
+
+
+_BOOLS = ("false", "true")
+_WRITERS = {
+    str: _string,
+    int: int.__repr__,
+    bool: _BOOLS.__getitem__,
+    type(None): lambda _: "null",
+    tuple: _array,
+    list: _array,
+    dict: _object,
+}
+_ROWS = {}

@@ -56,6 +56,26 @@ VALID_POOL_MAPS = [
 ]
 
 
+# The nine maps of (0;+;[M,M,2];{()}) that perfbench's action-ladder
+# workload sends at seed 1: seeded unit x images, M/2, and the e image the
+# long relation fixes.
+LADDER_ACTIONS = {
+    32: "x=9,5,16;e=2",
+    48: "x=25,11,24;e=36",
+    64: "x=63,57,32;e=40",
+    96: "x=91,73,48;e=76",
+    128: "x=53,25,64;e=114",
+    192: "x=187,11,96;e=90",
+    256: "x=199,221,128;e=220",
+    384: "x=1,343,192;e=232",
+    512: "x=273,235,256;e=260",
+}
+
+
+def ladder_signature(order):
+    return f"(0;+;[{order},{order},2];{{()}})"
+
+
 @st.composite
 def exponent_walks(draw):
     """(M, vs) for oracle.exponents: an even M in [2, 1000] and a list of v

@@ -37,15 +37,19 @@ from necfix.census import (
     write_census_csv,
     write_census_jsonl,
 )
+from necfix.fixedpoints import CycleOvals, PowerFixedPoints
+from necfix.oracle import OracleTranscript, PowerCosetCount, SweepTranscript
 from fractions import Fraction
 
 from strategies import (
+    LADDER_ACTIONS,
     POOL_ORDERS,
     SIG_POOL,
     VALID_POOL_MAPS,
     all_assignments,
     census_row_record,
     image_slots,
+    ladder_signature,
 )
 
 EXAMPLE1_ODD = parse_signature("(0;+;[2,7];{()})")
@@ -499,9 +503,74 @@ def test_to_json_matches_asdict_reference(data):
     assert_encodes_as_asdict(validate(drawn))
 
 
-@pytest.mark.parametrize("order", range(2, 25, 2))
+@pytest.mark.parametrize("order", [*range(2, 25, 2), 126, 512, 1000])
 def test_to_json_matches_asdict_reference_on_sweeps(order):
     assert_encodes_as_asdict(involution_sweep(order))
+
+
+def assert_analyze_record_encodes_as_asdict(epi):
+    # analyze --format json prints this record; report is None when invalid.
+    validation = validate(epi)
+    report = full_report(epi) if validation.valid else None
+    reference = {
+        "validation": dataclasses.asdict(validation),
+        "report": report and dataclasses.asdict(report),
+    }
+    text = to_json({"validation": validation, "report": report})
+    assert text == json.dumps(reference, sort_keys=True)
+    return text
+
+
+@pytest.mark.parametrize("order", LADDER_ACTIONS)
+def test_to_json_matches_asdict_reference_on_ladder_maps(order):
+    epi = parse_map_text(parse_signature(ladder_signature(order)), order, LADDER_ACTIONS[order])
+    assert_encodes_as_asdict(cross_check(epi))
+    assert_analyze_record_encodes_as_asdict(epi)
+
+
+def test_to_json_writes_an_odd_order_report_without_involution():
+    epi = parse_map_text(parse_signature("(1;-;[5,5];{})"), 5, "x=1,2;d=1")
+    text = assert_analyze_record_encodes_as_asdict(epi)
+    assert '"involution": null' in text
+    assert_encodes_as_asdict(cross_check(epi))
+
+
+def test_to_json_writes_disagreements_and_empty_tuples():
+    transcript = OracleTranscript(
+        modulus=6,
+        per_cycle=(),
+        per_power_fixed=(PowerCosetCount(1, 0, 2), PowerCosetCount(2, 1, 0)),
+        agreement=False,
+        disagreements=('v=3: "twisted" by the oracle, \u00e9 by the formula', "euler\tsum"),
+    )
+    assert_encodes_as_asdict(transcript)
+    assert '"per_cycle": []' in to_json(transcript)
+    assert_encodes_as_asdict(SweepTranscript(4, (), True))
+    assert to_json(()) == to_json([]) == "[]"
+    assert to_json({}) == "{}"
+
+
+def test_to_json_writes_a_tuple_of_mixed_records_item_by_item():
+    # Flat types with the same field count, with and without bools.
+    mixed = (
+        PowerFixedPoints(1, 4, 2),
+        PowerCosetCount(1, 0, 3),
+        CycleOvals(2, 1, True),
+        CycleOvals(1, 1, False),
+        PowerFixedPoints(3, 4, 2),
+    )
+    reference = [dataclasses.asdict(item) for item in mixed]
+    assert to_json(mixed) == json.dumps(reference, sort_keys=True)
+    assert to_json([*mixed, None, "x", 7]) == json.dumps([*reference, None, "x", 7],
+                                                         sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, frozenset(), object(), {1: "int key"}, CycleOvals])
+def test_to_json_refuses_a_type_no_record_holds(value):
+    with pytest.raises(TypeError):
+        to_json(value)
+    with pytest.raises(TypeError):
+        to_json({"report": (PowerFixedPoints(1, 2, 0), value)})
 
 
 def test_census_workers_agree():

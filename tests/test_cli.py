@@ -16,6 +16,7 @@ import tracemalloc
 import pytest
 
 from necfix.cli import _PARSER, main
+from strategies import LADDER_ACTIONS, ladder_signature
 
 
 def run_cli(capsys, *argv):
@@ -1054,6 +1055,21 @@ PINNED_LADDER_MAPS = {
 }
 
 
+# sha256 of analyze's json stdout for the nine action-ladder maps, whose
+# reports carry M - 1 power rows each.
+PINNED_LADDER_REPORTS = {
+    32: "56c69f1f3e2a0e0a13eb01506e02b767aa2dcece246307e412eee33a84fa78a2",
+    48: "a00510ef3d83774331c90486e8f0ecf68b78a19fb247da0bf9d99e3890f9e8b6",
+    64: "3ac6e85a7be2c2fb20ac44850cbdaf196db1b390f0d46bdafa5486e36bcac6b5",
+    96: "48e92aa6ad3b0b9e208d7319687c4d9807f0ceef915fb0126f4aebdedaaa44ba",
+    128: "ae415995bb63f8a0fe05fcea2c036a914ecd196eb1e1acb1ef5238b6dc121fa2",
+    192: "978c916245c695bb8d9eaa8c961a87a40a3f6b61dcfc99576188c496fbb58591",
+    256: "c5557db6d8ce47e14e9cdfc3acee9121360e8f6ff3797a2ed958f5b7b568bf18",
+    384: "79973fb36deac217684754cfd706c00cb5cc26da1841a6e19c12739c4ba56c1b",
+    512: "69d1f2a716253913175fe5c2ddfc977581ee49a758c24f94804dbcefdfd9167a",
+}
+
+
 @pytest.mark.parametrize("order", PINNED_SWEEPS)
 def test_verify_all_v_transcript_is_pinned(capsys, order):
     code, out, err = run_cli(capsys, "verify", "--all-v", "--order", str(order), "--format", "json")
@@ -1071,3 +1087,13 @@ def test_verify_ladder_transcript_is_pinned(capsys, order):
     )
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_LADDER_MAPS[order]
+
+
+@pytest.mark.parametrize("order", PINNED_LADDER_REPORTS)
+def test_analyze_ladder_report_is_pinned(capsys, order):
+    code, out, err = run_cli(
+        capsys, "analyze", ladder_signature(order), "--order", str(order),
+        "--map", LADDER_ACTIONS[order], "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_LADDER_REPORTS[order]
