@@ -21,7 +21,8 @@ from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, groupby, product
 from json.encoder import encode_basestring_ascii as _string
 
-from .epimorphism import CyclicEpimorphism, format_map_text, validate
+from .epimorphism import (CyclicEpimorphism, flat_images, format_map_text, map_layout, picker,
+                          validate)
 from .fixedpoints import full_report, twists_field
 from .oracle import cross_check
 from .signature import NecSignature, Sign, format_signature, kernel_genus, sized, ten_to
@@ -229,16 +230,61 @@ def enumerate_epimorphisms(sig, order, up_to_aut=False):
 def shadow_key(epi):
     """Sort-normalized key identifying rows up to permuting equal periods,
     cycles and genus generators; a dedup aid for downstream tools, not an
-    equivalence the census itself quotients by."""
-    sig = epi.sig
-    xs = ",".join([f"{m}:{u}" for m, u in sorted(zip(sig.periods, epi.x_images))])
-    es = ",".join(map(str, sorted(epi.e_images)))
-    if sig.sign is Sign.PLUS:
-        pairs = sorted(zip(epi.orient_images[0::2], epi.orient_images[1::2]))
-        orient = ",".join([f"{a}.{b}" for a, b in pairs])
-    else:
-        orient = ",".join(map(str, sorted(epi.orient_images)))
-    return f"M{epi.modulus}|g{sig.genus}{sig.sign.value}|x[{xs}]|e[{es}]|o[{orient}]"
+    equivalence the census itself quotients by.  It is the row layout of
+    the map's signature and order filled with the map's images."""
+    _, _, shadow, shadow_values = _row_layout(epi.sig, epi.modulus)
+    return shadow % tuple(shadow_values(flat_images(epi)))
+
+
+@functools.lru_cache(maxsize=64)
+def _row_layout(sig, order):
+    """What the text of a census row of sig at this order takes from them
+    alone, so a census writes each block through one; the 64 most recent
+    are kept.
+
+    Returns (text, pick, shadow, shadow_values).  text and pick are
+    map_layout's.  shadow is the shadow_key format,
+    "M4|g0+|x[2:%d,4:%d,4:%d]|e[%d]|o[%d.%d]", with the periods sorted and
+    a field per image ("%d.%d" per a/b pair).  shadow_values takes a map's
+    flat_images to its fields: the x images in the periods' sorted
+    (stable) order, the e images, then the a/b or glide images, with each
+    run of equal periods, the e images and the glides sorted, and the
+    (a, b) pairs sorted as pairs.
+    """
+    r, k, n = len(sig.periods), sig.empty_cycles, sig.sign.alpha * sig.genus
+    plus = sig.sign is Sign.PLUS
+    by_period = sorted(range(r), key=sig.periods.__getitem__)
+    # (start, stop, step) of each slice to sort, step 2 for the pairs; a
+    # slice of one item (or one pair) is sorted already.
+    runs, start = [], 0
+    for _, run in groupby(sorted(sig.periods)):
+        size = len(list(run))
+        runs.append((start, start + size, 1))
+        start += size
+    runs += [(r, r + k, 1), (r + k, r + k + n, 2 if plus else 1)]
+    runs = [(start, stop, step) for start, stop, step in runs if stop - start > step]
+    places = range(r + n)
+    if k or by_period != list(places[:r]):
+        places = (*by_period, *range(r, r + k), *range(r + 2 * k, r + 2 * k + n))
+    pick = picker(places)
+
+    def shadow_values(images):
+        values = pick(images)
+        if runs:
+            values = list(values)
+            for start, stop, step in runs:
+                if step == 1:
+                    values[start:stop] = sorted(values[start:stop])
+                else:
+                    pairs = sorted(zip(values[start:stop:2], values[start + 1 : stop : 2]))
+                    values[start:stop] = chain.from_iterable(pairs)
+        return values
+
+    xs = ",".join([f"{sig.periods[i]}:%d" for i in by_period])
+    es = ",".join(["%d"] * k)
+    orient = ",".join(["%d.%d" if plus else "%d"] * (n // sig.sign.alpha))
+    shadow = f"M{order}|g{sig.genus}{sig.sign.value}|x[{xs}]|e[{es}]|o[{orient}]"
+    return (*map_layout(sig), shadow, shadow_values)
 
 
 def _census_task(args):
@@ -329,6 +375,13 @@ CSV_COLUMNS = (
 )
 
 
+# Characters of census text joined before a write.  A JSON line carries the
+# order - 1 power rows of its report, so one block of 16,000 rows at order
+# 500 is 400 MB of text; in pieces this small it is never held whole, and
+# each piece is still in the CPU cache when it is encoded and hashed.
+WRITE_CHUNK = 1 << 16
+
+
 class _HashingStream:
     """Write-through wrapper that hashes everything written."""
 
@@ -385,15 +438,27 @@ def write_census_jsonl(rows, fh):
     Each line is one object with the keys canonical, images, kernel_genus,
     modulus, report (full_report of the row's map), scherrer_equality (false
     without an involution), shadow_key and signature, written sorted as
-    to_json writes them.  A block of rows of one signature encodes the
-    signature once, and the four fields its maps with equal e images share
-    once: full_report depends only on the signature, order and e images.
+    to_json writes them.  Rows of one signature and order form a block,
+    which is encoded, hashed and written as one string, or as strings of
+    about WRITE_CHUNK characters when it is longer.  Its lines share
+    one format, the row layout's map-text and shadow_key formats with the
+    signature's text folded in, so a line is one % over the row's canonical
+    flag, images, middle and sorted shadow values.  The middle, the four
+    fields that maps with equal e images share (full_report depends only on
+    the signature, order and e images), is encoded once per block and e
+    images.
     """
     stream = _HashingStream(fh)
     count = 0
     for (sig, modulus), block in groupby(rows, key=lambda row: (row.epi.sig, row.epi.modulus)):
-        tail = f', "signature": {to_json(format_signature(sig))}}}\n'
+        text, pick, shadow, shadow_values = _row_layout(sig, modulus)
+        # Digits and the formats' own characters need no JSON escape, so a
+        # format's JSON string is the format of the JSON string it fills.
+        signature = to_json(format_signature(sig))
+        line = (f'{{"canonical": %s, "images": {_string(text)}, %s, '
+                f'"shadow_key": {_string(shadow)}, "signature": {signature}}}\n')
         shared = {}
+        lines, size = [], 0
         for row in block:
             epi = row.epi
             report = full_report(epi)
@@ -406,10 +471,16 @@ def write_census_jsonl(rows, fh):
                     "scherrer_equality": report.involution is not None
                     and report.involution.scherrer_equality,
                 })[1:-1]
-            stream.write(f'{{"canonical": {"true" if row.canonical else "false"}, "images": '
-                         f'{to_json(format_map_text(epi))}, {middle}, '
-                         f'"shadow_key": {to_json(shadow_key(epi))}{tail}')
-            count += 1
+            if size >= WRITE_CHUNK:
+                stream.write("".join(lines))
+                count += len(lines)
+                lines, size = [], 0
+            images = flat_images(epi)
+            lines.append(line % (_BOOLS[row.canonical], *pick(images), middle,
+                                 *shadow_values(images)))
+            size += len(lines[-1])
+        stream.write("".join(lines))
+        count += len(lines)
     trailer = {"rows": count, "sha256": stream.digest.hexdigest(), "type": "trailer"}
     fh.write(to_json(trailer) + "\n")
     return count

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .signature import NecSignature, Sign, kernel_genus
@@ -293,12 +294,47 @@ def parse_map_text(sig, order, text):
 
 
 def format_map_text(epi):
-    """Compact text form of the images; inverse of parse_map_text."""
-    orient = epi.orient_images
-    if epi.sig.sign is Sign.PLUS:
-        genus_sections = [("a", orient[0::2]), ("b", orient[1::2])]
+    """Compact text form of the images; inverse of parse_map_text.  It is
+    the signature's map_layout filled with the map's images."""
+    text, pick = map_layout(epi.sig)
+    return text % pick(flat_images(epi))
+
+
+def flat_images(epi):
+    """Every image of the map in one tuple: x, e, c, then the a/b or glide
+    images as stored."""
+    return (*epi.x_images, *epi.e_images, *epi.c_images, *epi.orient_images)
+
+
+@functools.lru_cache(maxsize=64)
+def map_layout(sig):
+    """The map text of every map of sig as one format and the pick of the
+    images it writes, so a map's text is one %.  The format has a %d field
+    per image, "x=%d,%d;e=%d;c=%d;a=%d;b=%d" or "...;d=%d", with each
+    section without images left out; pick takes a map's flat_images to the
+    fields' order, the a images (even places) before the b images (odd
+    places).  The 64 most recent signatures are kept."""
+    r, k, n = len(sig.periods), sig.empty_cycles, sig.sign.alpha * sig.genus
+    start = r + 2 * k
+    if sig.sign is Sign.PLUS:
+        sections = (("x", r), ("e", k), ("c", k), ("a", n // 2), ("b", n // 2))
     else:
-        genus_sections = [("d", orient)]
-    sections = [("x", epi.x_images), ("e", epi.e_images), ("c", epi.c_images), *genus_sections]
-    return ";".join([f"{key}=" + ",".join(map(str, images))
-                     for key, images in sections if images])
+        sections = (("x", r), ("e", k), ("c", k), ("d", n))
+    places = range(start + n)
+    if sig.sign is Sign.PLUS and n > 2:
+        places = (*range(start), *range(start, start + n, 2), *range(start + 1, start + n, 2))
+    text = ";".join([f"{key}=" + ",".join(["%d"] * count) for key, count in sections if count])
+    return text, picker(places)
+
+
+def picker(indices):
+    """The function taking a tuple to the tuple of its items at these
+    indices: tuple itself, which returns a tuple as it is, for a range
+    0, 1, ..., n - 1; else itemgetter, which returns a lone item bare."""
+    if indices == range(len(indices)):
+        return tuple
+    indices = tuple(indices)
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda values: (values[i],)
+    return operator.itemgetter(*indices)

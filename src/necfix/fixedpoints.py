@@ -105,14 +105,13 @@ def _report(sig, order, e_images, genus):
     """The report of every valid map with this signature, order and e images,
     whose kernel has the given genus (its validation computed it).
 
-    Holds at most 32 reports of order - 1 power rows each.  A census meets
-    the maps of one signature together, so a few dozen entries catch
-    nearly every repeat.
+    Holds at most 32 reports.  Those of one signature and order share the
+    one power table of _powers, so a census block's reports hold a single
+    table of order - 1 rows between them, and a miss builds only the
+    involution block.  A census meets the maps of one signature together,
+    so a few dozen entries catch nearly every repeat.
     """
-    per_power = tuple(
-        PowerFixedPoints(i, image_order(order, i), isolated_fixed_points(sig, order, i))
-        for i in range(1, order)
-    )
+    per_power = _powers(sig, order)
     involution = None
     if order % 2 == 0:
         per_cycle = tuple(cycle_ovals(order, v) for v in e_images)
@@ -130,6 +129,17 @@ def _report(sig, order, e_images, genus):
             scherrer_equality=lhs == rhs,
         )
     return FixedPointReport(order, genus, per_power, involution)
+
+
+@functools.lru_cache(maxsize=32)
+def _powers(sig, order):
+    """The per-power table of every report of this signature and order:
+    Macbeath's count reads only the periods and the order, never the
+    images.  At most 32 tables are kept."""
+    return tuple(
+        PowerFixedPoints(i, image_order(order, i), isolated_fixed_points(sig, order, i))
+        for i in range(1, order)
+    )
 
 
 def twists_field(report):

@@ -61,13 +61,20 @@ MUTANTS = [
      "test_fixedpoints.py"),
     ("fixedpoints.py", "count = math.gcd(half, v)", "count = math.gcd(half, v) + 1",
      "test_oracle.py"),
+    # One power table per (signature, M), never per M alone.
+    ("fixedpoints.py",
+     "@functools.lru_cache(maxsize=32)\ndef _powers(sig, order):\n",
+     "def _powers(sig, order, _first={}):\n"
+     "    return _first.setdefault(order, _build(sig, order))\n\n\n"
+     "def _build(sig, order):\n",
+     "test_fixedpoints.py"),
     # Odd orders take no period cycles.
     ("census.py", "if order % 2 == 0 else 1)", "if order % 2 == 0 else 2)", "test_census.py"),
     # Each user-facing result is assembled once: analyze's exit code, the
     # map text's empty sections and the invalid-map error.
     ("cli.py", "return EXIT_OK if report else EXIT_INVALID", "return EXIT_OK", "test_cli.py"),
-    ("epimorphism.py", "for key, images in sections if images])",
-     "for key, images in sections])", "test_cli.py"),
+    ("epimorphism.py", "for key, count in sections if count])",
+     "for key, count in sections])", "test_cli.py"),
     ("epimorphism.py", "if not self.valid:", "if False:", "test_fixedpoints.py"),
     # Shared verdicts and report text: each cache key holds every value its
     # result depends on, each line keeps its signature, and the long
@@ -86,8 +93,7 @@ MUTANTS = [
      "shared.get(None)\n            if middle is None:\n"
      "                middle = shared[None] =",
      "test_census.py"),
-    ("census.py", "{to_json(shadow_key(epi))}{tail}')", "{to_json(shadow_key(epi))}}}\\n')",
-     "test_census.py"),
+    ("census.py", ', "signature": {signature}}}', "}}", "test_census.py"),
     # The one encoder: a record type's format takes its fields sorted, a
     # bool is written true or false, and a tuple goes through one format in
     # one pass only when every item is of that one flat type.
@@ -95,6 +101,15 @@ MUTANTS = [
      "test_census.py"),
     ("census.py", '_BOOLS = ("false", "true")', '_BOOLS = ("False", "True")', "test_census.py"),
     ("census.py", "if rows and len(set(map(type, items))) == 1:", "if rows:", "test_census.py"),
+    # The row layout: the shadow key sorts each run of equal periods, the e
+    # images and the glides or (a, b) pairs, and the map text writes the a
+    # images before the b images.
+    ("census.py", "if stop - start > step]", "if False]", "test_census.py"),
+    # A block's text is written once it passes WRITE_CHUNK, never held whole.
+    ("census.py", "if size >= WRITE_CHUNK:", "if False:", "test_census.py"),
+    ("epimorphism.py",
+     "places = (*range(start), *range(start, start + n, 2), *range(start + 1, start + n, 2))",
+     "places = range(start + n)", "test_census.py"),
     ("census.py", "sum(map(operator.mul, weights, free))", "sum(free)", "test_census.py"),
     # The solved image: sign '-' without cycles still has maps, the odd-order
     # root halves the rest, and an even rest has two roots.

@@ -5,7 +5,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import necfix.census
@@ -16,6 +16,7 @@ from necfix import (
     cross_check,
     enumerate_epimorphisms,
     enumerate_signatures,
+    format_map_text,
     format_signature,
     full_report,
     involution_sweep,
@@ -363,6 +364,64 @@ def test_shadow_key_ignores_period_order():
     assert shadow_key(a) == shadow_key(b)
 
 
+
+def reference_map_text(epi):
+    # format_map_text as one f-string join per section, before its layout.
+    orient = epi.orient_images
+    if epi.sig.sign is Sign.PLUS:
+        genus_sections = [("a", orient[0::2]), ("b", orient[1::2])]
+    else:
+        genus_sections = [("d", orient)]
+    sections = [("x", epi.x_images), ("e", epi.e_images), ("c", epi.c_images), *genus_sections]
+    return ";".join([f"{key}=" + ",".join(map(str, images))
+                     for key, images in sections if images])
+
+
+def reference_shadow_key(epi):
+    # shadow_key as sorted zips and joins, before its layout.
+    sig = epi.sig
+    xs = ",".join([f"{m}:{u}" for m, u in sorted(zip(sig.periods, epi.x_images))])
+    es = ",".join(map(str, sorted(epi.e_images)))
+    if sig.sign is Sign.PLUS:
+        pairs = sorted(zip(epi.orient_images[0::2], epi.orient_images[1::2]))
+        orient = ",".join([f"{a}.{b}" for a, b in pairs])
+    else:
+        orient = ",".join(map(str, sorted(epi.orient_images)))
+    return f"M{epi.modulus}|g{sig.genus}{sig.sign.value}|x[{xs}]|e[{es}]|o[{orient}]"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([Sign.PLUS, Sign.MINUS]),
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.sampled_from([2, 3, 4, 6, 12]), max_size=5),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=60),
+    st.lists(st.integers(min_value=0, max_value=10**4), min_size=17, max_size=17),
+    st.booleans(),
+)
+@example(Sign.PLUS, 0, [4, 2, 4], 2, 12, [7, 3, 5, 1, 4, 5, 0, 1] + [0] * 9, True)
+@example(Sign.PLUS, 3, [2, 2], 0, 60, [30, 30, 9, 4, 9, 2, 1, 8] + [0] * 9, False)
+@example(Sign.MINUS, 2, [4, 2, 4], 1, 8, [3, 4, 1, 6, 5, 7, 2] + [0] * 10, True)
+@example(Sign.PLUS, 0, [], 0, 1, [0] * 17, False)
+def test_row_layout_matches_the_reference_texts(sign, genus, periods, cycles, order, images,
+                                                with_c):
+    # Unsorted and repeated periods, empty sections, genus 0 and c images
+    # other than M/2: map text and shadow key read as their reference
+    # joins, and the map text parses back to its map.
+    genus = max(genus, 1 if sign is Sign.MINUS else 0)
+    sig = NecSignature(genus, sign, tuple(periods), cycles)
+    r, n = len(periods), sign.alpha * genus
+    xs, es, cs = images[:r], images[r : r + cycles], images[r + cycles : r + 2 * cycles]
+    orient = images[r + 2 * cycles : r + 2 * cycles + n]
+    sections = {"x": xs, "e": es, **({"c": cs} if with_c else {})}
+    sections.update({"a": orient[0::2], "b": orient[1::2]} if sign is Sign.PLUS else {"d": orient})
+    epi = parse_map_text(sig, order, ";".join(f"{key}={','.join(map(str, values))}"
+                                              for key, values in sections.items()))
+    assert format_map_text(epi) == reference_map_text(epi)
+    assert shadow_key(epi) == reference_shadow_key(epi)
+    assert parse_map_text(sig, order, format_map_text(epi)) == epi
+
 def _scherrer_extremal(order, max_genus):
     """Rows up to Aut(C_M) where the involution attains |F| + 2|V| = p + 2."""
     rows, _ = run_census(order, max_genus, up_to_aut=True)
@@ -470,6 +529,25 @@ def test_census_jsonl_lines_equal_the_one_encoder(order, max_genus, monkeypatch)
         assert len(rows) == 292
         assert all(full_report(row.epi).involution is None for row in rows)
 
+
+def test_census_jsonl_block_is_written_in_pieces_of_the_write_chunk(monkeypatch):
+    # A block is one write unless its text passes WRITE_CHUNK; at a chunk of
+    # one character every line is its own write.  Bytes and trailer do not
+    # depend on how a block is cut.
+    rows, _ = run_census(6, 8)
+
+    def written(chunk):
+        monkeypatch.setattr(necfix.census, "WRITE_CHUNK", chunk)
+        writes = []
+        buf = io.StringIO()
+        buf.write = lambda text: writes.append(text) or len(text)
+        write_census_jsonl(rows, buf)
+        return "".join(writes), len(writes) - 1
+
+    whole, whole_writes = written(10**9)
+    assert whole_writes == len({row.epi.sig for row in rows}) < len(rows)
+    assert written(1) == (whole, len(rows))
+    assert written(necfix.census.WRITE_CHUNK)[0] == whole
 
 def assert_encodes_as_asdict(obj):
     # The reference is the deep asdict copy that to_json does without.

@@ -178,6 +178,25 @@ def test_report_shared_by_maps_with_equal_key():
     assert per_cycle(example2_epi()) == [(2, False)]
 
 
+def test_reports_of_one_signature_and_order_share_one_power_table():
+    # Macbeath's count reads only the signature and M: maps with other e
+    # images get their own reports but one power table.
+    handle = parse_signature("(1;+;[2];{()})")
+    a, b = example2_epi(), parse_map_text(EXAMPLE2, 4, "x=2,2,1,1;e=2")
+    assert full_report(a) is not full_report(b)
+    assert full_report(a).per_power is full_report(b).per_power
+    # Another order, or another signature at the same order, has its own.
+    at_4 = full_report(parse_map_text(handle, 4, "x=2;e=2;a=0;b=1"))
+    at_8 = full_report(parse_map_text(handle, 8, "x=4;e=4;a=0;b=1"))
+    assert at_4.per_power is not at_8.per_power
+    assert at_4.per_power is not full_report(a).per_power
+    assert at_4.per_power != full_report(a).per_power
+    # An odd order still has no involution block.
+    odd = full_report(parse_map_text(parse_signature("(2;-;[3];{})"), 9, "x=3;d=1,2"))
+    assert odd.involution is None
+    assert [row.i for row in odd.per_power] == list(range(1, 9))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(VALID_POOL_MAPS))
 def test_shared_report_equals_uncached(epi):
