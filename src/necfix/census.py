@@ -14,6 +14,7 @@ import bisect
 import csv
 import functools
 import hashlib
+import io
 import math
 import operator
 import os
@@ -43,8 +44,9 @@ MAX_CANDIDATES = 10**6
 def check_budget(count, what, *values):
     """The one size bound of every search, census, report and oracle run.  Its
     text, what formatted with the values, is made only on refusal, with each
-    integer of 100 digits or more (str() refuses over 4300) as 10^log10, and
-    each text of 100 characters or more as its start and its length."""
+    integer of 100 digits or more (str() refuses over 4300) as 10^log10, each
+    signature as its text, and each text of 100 characters or more as its
+    start and its length."""
     if count > MAX_CANDIDATES:
         shown = what.format(*map(_shown, values))
         raise ValueError(f"{shown}, above the limit of {MAX_CANDIDATES}")
@@ -53,9 +55,8 @@ def check_budget(count, what, *values):
 def _shown(value):
     if isinstance(value, int):
         return sized(value)
-    if isinstance(value, str) and len(value) >= 100:
-        return f"{value[:40]}... ({len(value)} characters)"
-    return value
+    text = value if isinstance(value, str) else format_signature(value)
+    return f"{text[:40]}... ({len(text)} characters)" if len(text) >= 100 else text
 
 
 def _small_divisors(n):
@@ -130,7 +131,7 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
     map before validate (units keep validity).  The budget refuses first."""
     size = 0 if sig.nonempty_cycles else candidate_count(
         sig.genus, sig.sign, sig.periods, sig.empty_cycles, order)
-    check_budget(size, "{} has {} candidate maps at order {}", format_signature(sig), size, order)
+    check_budget(size, "{} has {} candidate maps at order {}", sig, size, order)
     if not size:
         return
     cycles = sig.empty_cycles
@@ -175,7 +176,7 @@ def candidate_count(genus, sign, periods, cycles, order):
     power = cycles + sign.alpha * genus - 1
     size = sum(map(math.log10, phis)) + power * math.log10(order)
     if size >= 99:
-        sig = format_signature(NecSignature(genus, sign, periods, cycles))
+        sig = NecSignature(genus, sign, periods, cycles)
         check_budget(math.inf, "{} has {} candidate maps at order {}", sig, ten_to(size), order)
     return math.prod(phis) * order ** power
 
@@ -236,11 +237,9 @@ def shadow_key(epi):
     return shadow % tuple(shadow_values(flat_images(epi)))
 
 
-@functools.lru_cache(maxsize=64)
 def _row_layout(sig, order):
-    """What the text of a census row of sig at this order takes from them
-    alone, so a census writes each block through one; the 64 most recent
-    are kept.
+    """What the text of a census JSON line of sig at this order takes from
+    them alone, so a census writes each block through one.
 
     Returns (text, pick, shadow, shadow_values).  text and pick are
     map_layout's.  shadow is the shadow_key format,
@@ -362,74 +361,112 @@ def max_cyclic_order(genus, cap=12):
     raise AssertionError("unreachable: the trivial group always acts")
 
 
-CSV_COLUMNS = (
-    "signature",
-    "M",
-    "images",
-    "p",
-    "F",
-    "V",
-    "twists",
-    "scherrer_slack",
-    "canonical",
-)
-
-
-# Characters of census text joined before a write.  A JSON line carries the
-# order - 1 power rows of its report, so one block of 16,000 rows at order
-# 500 is 400 MB of text; in pieces this small it is never held whole, and
-# each piece is still in the CPU cache when it is encoded and hashed.
+# Characters of census text, CSV or JSON lines, joined before a write.  A
+# JSON line carries the order - 1 power rows of its report, so one block of
+# 16,000 rows at order 500 is 400 MB of text; in pieces this small a block
+# is never held whole, and each is still in the CPU cache when it is hashed.
 WRITE_CHUNK = 1 << 16
 
 
-class _HashingStream:
-    """Write-through wrapper that hashes everything written."""
+def _census_text(rows, block_format, encode):
+    """Yield the text of census rows as (text, line count) pieces: a piece
+    per block of rows of one signature and order, or pieces of about
+    WRITE_CHUNK characters when it is longer.  block_format(sig, order)
+    gives the block's fill: fill(row, middle) is a line, one % through the
+    block's line format.  The middle, the fields that maps with equal e
+    images share (full_report reads only the signature, order and e images),
+    is encode(report), taken once per block and e images.
+    """
+    for (sig, modulus), block in groupby(rows, key=lambda row: (row.epi.sig, row.epi.modulus)):
+        fill = block_format(sig, modulus)
+        shared = {}
+        lines, size = [], 0
+        for row in block:
+            epi = row.epi
+            report = full_report(epi)
+            middle = shared.get(epi.e_images)
+            if middle is None:
+                middle = shared[epi.e_images] = encode(report)
+            if size >= WRITE_CHUNK:
+                yield "".join(lines), len(lines)
+                lines, size = [], 0
+            lines.append(fill(row, middle))
+            size += len(lines[-1])
+        yield "".join(lines), len(lines)
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.digest = hashlib.sha256()
 
-    def write(self, text):
-        self.fh.write(text)
-        self.digest.update(text.encode("utf-8"))
-        return len(text)
+def _csv_block(sig, modulus):
+    """The _census_text block format of CSV lines.  Its line format is what
+    csv.writer writes of the signature's text, the order, the map-text
+    format and two %s: digits never need quotes, so each line is quoted as
+    the format is.  _csv_middle's p,F,V,twists,scherrer_slack, the last four
+    empty without an involution, fills the first %s."""
+    text, pick = map_layout(sig)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((format_signature(sig), modulus, text, "%s", "%s"))
+    line = out.getvalue()
+
+    def fill(row, middle):
+        return line % (*pick(flat_images(row.epi)), middle, _BOOLS[row.canonical])
+
+    return fill
 
 
-def census_row_csv(row):
-    report = full_report(row.epi)
+def _csv_middle(report):
     involution = report.involution
     if involution is None:
-        fixed = ovals = twists = slack = ""
-    else:
-        fixed = str(involution.isolated_total)
-        ovals = str(involution.oval_total)
-        twists = twists_field(report)
-        slack = str(involution.scherrer_rhs - involution.scherrer_lhs)
-    return [
-        format_signature(row.epi.sig),
-        str(row.epi.modulus),
-        format_map_text(row.epi),
-        str(report.kernel_genus),
-        fixed,
-        ovals,
-        twists,
-        slack,
-        "true" if row.canonical else "false",
-    ]
+        return f"{report.kernel_genus},,,,"
+    return (f"{report.kernel_genus},{involution.isolated_total},{involution.oval_total},"
+            f"{twists_field(report)},{involution.scherrer_rhs - involution.scherrer_lhs}")
+
+
+def _jsonl_block(sig, modulus):
+    # The row layout's formats with the signature's text folded in: they
+    # need no JSON escape, so a format's JSON string formats the string.
+    text, pick, shadow, shadow_values = _row_layout(sig, modulus)
+    signature = to_json(format_signature(sig))
+    line = (f'{{"canonical": %s, "images": {_string(text)}, %s, '
+            f'"shadow_key": {_string(shadow)}, "signature": {signature}}}\n')
+
+    def fill(row, middle):
+        images = flat_images(row.epi)
+        return line % (_BOOLS[row.canonical], *pick(images), middle, *shadow_values(images))
+
+    return fill
+
+
+def _jsonl_middle(report):
+    return to_json({
+        "kernel_genus": report.kernel_genus,
+        "modulus": report.modulus,
+        "report": report,
+        "scherrer_equality": report.involution is not None and report.involution.scherrer_equality,
+    })[1:-1]
+
+
+def csv_text(rows):
+    """The CSV header, then the lines of census rows, as (text, line count)
+    pieces."""
+    header = "signature,M,images,p,F,V,twists,scherrer_slack,canonical\n"
+    return chain([(header, 0)], _census_text(rows, _csv_block, _csv_middle))
+
+
+def _write(pieces, fh, trailer):
+    """Write the pieces, then trailer(row count, sha256 of their text)."""
+    digest = hashlib.sha256()
+    count = 0
+    for text, lines in pieces:
+        fh.write(text)
+        digest.update(text.encode("utf-8"))
+        count += lines
+    fh.write(trailer(count, digest.hexdigest()))
+    return count
 
 
 def write_census_csv(rows, fh):
     """Stream rows as CSV, then a trailer record with the row count and the
     sha256 of all preceding bytes."""
-    stream = _HashingStream(fh)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    count = 0
-    for row in rows:
-        writer.writerow(census_row_csv(row))
-        count += 1
-    fh.write(f"#trailer,rows={count},sha256={stream.digest.hexdigest()}\n")
-    return count
+    return _write(csv_text(rows), fh, "#trailer,rows={},sha256={}\n".format)
 
 
 def write_census_jsonl(rows, fh):
@@ -438,52 +475,11 @@ def write_census_jsonl(rows, fh):
     Each line is one object with the keys canonical, images, kernel_genus,
     modulus, report (full_report of the row's map), scherrer_equality (false
     without an involution), shadow_key and signature, written sorted as
-    to_json writes them.  Rows of one signature and order form a block,
-    which is encoded, hashed and written as one string, or as strings of
-    about WRITE_CHUNK characters when it is longer.  Its lines share
-    one format, the row layout's map-text and shadow_key formats with the
-    signature's text folded in, so a line is one % over the row's canonical
-    flag, images, middle and sorted shadow values.  The middle, the four
-    fields that maps with equal e images share (full_report depends only on
-    the signature, order and e images), is encoded once per block and e
-    images.
+    to_json writes them; kernel_genus, modulus, report and scherrer_equality
+    are its middle.
     """
-    stream = _HashingStream(fh)
-    count = 0
-    for (sig, modulus), block in groupby(rows, key=lambda row: (row.epi.sig, row.epi.modulus)):
-        text, pick, shadow, shadow_values = _row_layout(sig, modulus)
-        # Digits and the formats' own characters need no JSON escape, so a
-        # format's JSON string is the format of the JSON string it fills.
-        signature = to_json(format_signature(sig))
-        line = (f'{{"canonical": %s, "images": {_string(text)}, %s, '
-                f'"shadow_key": {_string(shadow)}, "signature": {signature}}}\n')
-        shared = {}
-        lines, size = [], 0
-        for row in block:
-            epi = row.epi
-            report = full_report(epi)
-            middle = shared.get(epi.e_images)
-            if middle is None:
-                middle = shared[epi.e_images] = to_json({
-                    "kernel_genus": report.kernel_genus,
-                    "modulus": modulus,
-                    "report": report,
-                    "scherrer_equality": report.involution is not None
-                    and report.involution.scherrer_equality,
-                })[1:-1]
-            if size >= WRITE_CHUNK:
-                stream.write("".join(lines))
-                count += len(lines)
-                lines, size = [], 0
-            images = flat_images(epi)
-            lines.append(line % (_BOOLS[row.canonical], *pick(images), middle,
-                                 *shadow_values(images)))
-            size += len(lines[-1])
-        stream.write("".join(lines))
-        count += len(lines)
-    trailer = {"rows": count, "sha256": stream.digest.hexdigest(), "type": "trailer"}
-    fh.write(to_json(trailer) + "\n")
-    return count
+    return _write(_census_text(rows, _jsonl_block, _jsonl_middle), fh, lambda count, digest: to_json(
+        {"rows": count, "sha256": digest, "type": "trailer"}) + "\n")
 
 
 def to_json(obj):

@@ -19,11 +19,10 @@ import sys
 from contextlib import nullcontext
 
 from .census import (
-    CSV_COLUMNS,
     CensusRow,
-    census_row_csv,
     check_budget,
     check_census_args,
+    csv_text,
     enumerate_epimorphisms,
     is_canonical,
     max_cyclic_order,
@@ -85,9 +84,7 @@ def _cmd_analyze(args):
     if args.fmt == "json":
         print(to_json({"validation": validation, "report": report}))
     elif args.fmt == "csv" and report:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerow(census_row_csv(CensusRow(epi, is_canonical(epi))))
+        sys.stdout.writelines(text for text, _ in csv_text([CensusRow(epi, is_canonical(epi))]))
     else:
         # csv stdout carries rows only; the check table is a diagnostic.
         _print_validation(validation, sys.stderr if args.fmt == "csv" else None)
@@ -150,10 +147,12 @@ def _cmd_census(args):
             print(f"census: order {args.order}, max genus {args.max_genus}, "
                   f"{len(rows)} row(s)", file=sink)
             for row in rows:
-                sig, m, images, p, fixed, ovals, _, slack, _ = census_row_csv(row)
-                fv = f"F={fixed} V={ovals}" if fixed else "no involution"
-                star = " *" if slack == "0" else ""
-                print(f"  {sig} M={m} {images} p={p} {fv}{star}", file=sink)
+                report = full_report(row.epi)
+                inv = report.involution
+                fv = f"F={inv.isolated_total} V={inv.oval_total}" if inv else "no involution"
+                star = " *" if inv and inv.scherrer_equality else ""
+                print(f"  {format_signature(row.epi.sig)} M={args.order} {format_map_text(row.epi)} "
+                      f"p={report.kernel_genus} {fv}{star}", file=sink)
     if disagreements:
         print(f"oracle disagreement: {disagreements[0]}", file=sys.stderr)
         return EXIT_DISAGREEMENT

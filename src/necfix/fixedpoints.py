@@ -106,10 +106,10 @@ def _report(sig, order, e_images, genus):
     whose kernel has the given genus (its validation computed it).
 
     Holds at most 32 reports.  Those of one signature and order share the
-    one power table of _powers, so a census block's reports hold a single
-    table of order - 1 rows between them, and a miss builds only the
-    involution block.  A census meets the maps of one signature together,
-    so a few dozen entries catch nearly every repeat.
+    power table of _powers, so a miss builds only the involution block.  A
+    census block's e images vary fastest, so 32 do not hold its reports:
+    census --order 1000 --max-genus 993 builds 195,005 reports for 65,705
+    distinct keys (ROADMAP item 14 gives each block its own).
     """
     per_power = _powers(sig, order)
     involution = None

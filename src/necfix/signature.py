@@ -16,7 +16,6 @@ the kernel genus is an integer or an error, never a rounded float.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -161,7 +160,6 @@ def parse_signature(text):
     return NecSignature(genus, Sign(sign), periods, empty, tuple(nonempty))
 
 
-@functools.lru_cache(maxsize=4096)
 def format_signature(sig):
     """Canonical text form; parse_signature(format_signature(s)) == s."""
     cycles = "".join("(" + ",".join(str(n) for n in c) + ")" for c in sig.nonempty_cycles)

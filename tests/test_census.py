@@ -530,10 +530,12 @@ def test_census_jsonl_lines_equal_the_one_encoder(order, max_genus, monkeypatch)
         assert all(full_report(row.epi).involution is None for row in rows)
 
 
-def test_census_jsonl_block_is_written_in_pieces_of_the_write_chunk(monkeypatch):
+@pytest.mark.parametrize("write, head", [(write_census_jsonl, 0), (write_census_csv, 1)],
+                         ids=["jsonl", "csv"])
+def test_census_block_is_written_in_pieces_of_the_write_chunk(monkeypatch, write, head):
     # A block is one write unless its text passes WRITE_CHUNK; at a chunk of
     # one character every line is its own write.  Bytes and trailer do not
-    # depend on how a block is cut.
+    # depend on how a block is cut.  The CSV header is one write of its own.
     rows, _ = run_census(6, 8)
 
     def written(chunk):
@@ -541,13 +543,14 @@ def test_census_jsonl_block_is_written_in_pieces_of_the_write_chunk(monkeypatch)
         writes = []
         buf = io.StringIO()
         buf.write = lambda text: writes.append(text) or len(text)
-        write_census_jsonl(rows, buf)
-        return "".join(writes), len(writes) - 1
+        write(rows, buf)
+        return "".join(writes), len(writes) - head - 1
 
     whole, whole_writes = written(10**9)
     assert whole_writes == len({row.epi.sig for row in rows}) < len(rows)
     assert written(1) == (whole, len(rows))
     assert written(necfix.census.WRITE_CHUNK)[0] == whole
+
 
 def assert_encodes_as_asdict(obj):
     # The reference is the deep asdict copy that to_json does without.
