@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import functools
 import hashlib
 import io
 import math
@@ -143,6 +142,9 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
     weights = (1,) * (r + cycles) + (0 if plus else 2,) * n_orient
     weights = weights[:solved] + weights[solved + 1 :]
     c_fixed = (order // 2,) * cycles
+    # units(order), taken before the first map that needs it: none does at
+    # a large order whose candidates are all invalid.
+    unit_group = up_to_aut and units(order)
     for free in product(*x_slots, *[range(order)] * (cycles + n_orient - 1)):
         rest = -sum(map(operator.mul, weights, free)) % order
         if plus:
@@ -155,10 +157,11 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
             images = (*free[:solved], root, *free[solved:])
             xs, es, orient = images[:r], images[r : r + cycles], images[r + cycles :]
             epi = CyclicEpimorphism(sig, order, xs, es, c_fixed, orient)
-            if up_to_aut and not is_canonical(epi):
+            if up_to_aut and not is_canonical(epi, unit_group):
                 continue
             if validate(epi).valid:
-                yield CensusRow(epi, up_to_aut or is_canonical(epi))
+                unit_group = unit_group or units(order)
+                yield CensusRow(epi, up_to_aut or is_canonical(epi, unit_group))
 
 
 def candidate_count(genus, sign, periods, cycles, order):
@@ -194,22 +197,20 @@ def _phi(m):
     return phi - phi // rest if rest > 1 else phi
 
 
-@functools.lru_cache(maxsize=64)
 def units(order):
     """The units of Z_order in increasing order: (1,) at order 1, where
-    gcd(1, 1) = 1, and never order itself above it.  Every census row asks
-    is_canonical for them, so the 64 most recent orders are kept."""
+    gcd(1, 1) = 1, and never order itself above it."""
     return tuple(u for u in range(1, order + 1) if math.gcd(u, order) == 1)
 
 
-def is_canonical(epi):
+def is_canonical(epi, unit_group):
     """True when the image tuple is lexicographically least in its orbit
-    under unit multiplication (the Aut(C_M) action); unit 1 fixes it and is
-    skipped.  Reflection images are left out: they all equal M/2, which
-    every unit fixes."""
+    under unit multiplication (the Aut(C_M) action), unit_group being
+    units(M); unit 1 fixes it and is skipped.  Reflection images are left
+    out: they all equal M/2, which every unit fixes."""
     order = epi.modulus
     key = (*epi.x_images, *epi.e_images, *epi.orient_images)
-    return all(key <= tuple([u * v % order for v in key]) for u in units(order)[1:])
+    return all(key <= tuple([u * v % order for v in key]) for u in unit_group[1:])
 
 
 def enumerate_epimorphisms(sig, order, up_to_aut=False):
@@ -293,10 +294,11 @@ def _census_task(args):
     if verify:
         # Aut(Z_M) acts freely on valid maps (a unit fixing generating images
         # is 1), so each orbit has len(units) rows, one of them canonical.
-        canonical = sum(row.canonical for row in rows)
-        if not up_to_aut and len(rows) != len(units(order)) * canonical:
-            disagreements.append(f"{format_signature(sig)} M={order}: {len(rows)} rows, not "
-                                 f"{len(units(order))} units x {canonical} canonical")
+        if rows and not up_to_aut:
+            size, canonical = len(units(order)), sum(row.canonical for row in rows)
+            if len(rows) != size * canonical:
+                disagreements.append(f"{format_signature(sig)} M={order}: {len(rows)} rows, "
+                                     f"not {size} units x {canonical} canonical")
         for row in rows:
             transcript = cross_check(row.epi)
             if not transcript.agreement:
@@ -486,29 +488,22 @@ def to_json(obj):
     """The one JSON encoding of every record necfix prints: what
     json.dumps(obj, sort_keys=True) writes of the record copied into plain
     dicts and lists (keys sorted, ASCII, tuples as arrays, each dataclass as
-    an object of its fields).  Each dataclass type gets one format of its
-    sorted field names, built when it is first met, and a tuple of one record
-    type whose fields are all int or bool is written in one pass through that
-    type's format.  Strings, ints, bools, None, tuples, lists and dicts with
-    str keys are the other types; any other raises TypeError."""
-    # A census line's strings (signature, images, shadow key) skip dispatch.
-    return _string(obj) if type(obj) is str else _json(obj)
+    an object of its fields).  Each dataclass type has one format of its
+    sorted field names, built when it is first met, and any tuple of one
+    record type is written in one pass through it; a lone record is a tuple
+    of one.  Strings, ints, bools, None, tuples, lists and dicts with str
+    keys are the other types; any other raises TypeError."""
+    return _json(obj)
 
 
 def _json(obj):
-    write = _WRITERS.get(type(obj)) or _layout(type(obj))
-    return write(obj)
+    write = _WRITERS.get(type(obj))
+    return write(obj) if write else _layout(type(obj))((obj,))
 
 
 def _array(items):
-    if not items:
-        return "[]"
-    kind = type(items[0])
-    if kind not in _WRITERS:
-        _layout(kind)
-    rows = _ROWS.get(kind)
-    if rows and len(set(map(type, items))) == 1:
-        return "[" + rows(items) + "]"
+    if items and type(items[0]) not in _WRITERS and len(set(map(type, items))) == 1:
+        return "[" + _layout(type(items[0]))(items) + "]"
     return "[" + ", ".join(map(_json, items)) + "]"
 
 
@@ -518,11 +513,13 @@ def _object(record):
 
 
 def _layout(kind):
-    """Build and keep the writers of one dataclass type.  Its one format
-    writes the fields in sorted order, an int field by %d and any other by
-    the text of its value; when every field is an int or a bool, a tuple of
-    such records is written in one pass through that format, each bool
-    looked up as true or false."""
+    """The one writer of a dataclass type, built and kept when the type is
+    first met.  It fills the type's format, the fields in sorted order, for
+    a tuple of records in one % pass: an int field by %d and any other by
+    _json of its value."""
+    write = _RECORDS.get(kind)
+    if write:
+        return write
     if not is_dataclass(kind):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     ordered = sorted(fields(kind), key=lambda field: field.name)
@@ -534,22 +531,13 @@ def _layout(kind):
                           for name, is_int in zip(names, ints)) + "}"
     encoded = [j for j, is_int in enumerate(ints) if not is_int]
 
-    def write(obj):
-        values = list(get(obj))
+    def write(items):
+        values = list(chain.from_iterable(map(get, items)))
         for j in encoded:
-            values[j] = _json(values[j])
-        return row % tuple(values)
+            values[j :: len(names)] = map(_json, values[j :: len(names)])
+        return ", ".join([row] * len(items)) % tuple(values)
 
-    if all(field.type in (int, "int", bool, "bool") for field in ordered):
-
-        def rows(items):
-            values = list(chain.from_iterable(map(get, items)))
-            for j in encoded:
-                values[j :: len(names)] = map(_BOOLS.__getitem__, values[j :: len(names)])
-            return ", ".join([row] * len(items)) % tuple(values)
-
-        _ROWS[kind] = rows
-    _WRITERS[kind] = write
+    _RECORDS[kind] = write
     return write
 
 
@@ -563,4 +551,4 @@ _WRITERS = {
     list: _array,
     dict: _object,
 }
-_ROWS = {}
+_RECORDS = {}

@@ -28,6 +28,7 @@ from .census import (
     max_cyclic_order,
     run_census,
     to_json,
+    units,
     write_census_csv,
     write_census_jsonl,
 )
@@ -80,17 +81,19 @@ def _cmd_analyze(args):
     sig = _signature(args.signature)
     epi = parse_map_text(sig, args.order, args.map_text)
     validation = validate(epi)
-    report = full_report(epi) if validation.valid else None
+    # A CSV line takes its report from full_report itself.
+    report = full_report(epi) if validation.valid and args.fmt != "csv" else None
     if args.fmt == "json":
         print(to_json({"validation": validation, "report": report}))
-    elif args.fmt == "csv" and report:
-        sys.stdout.writelines(text for text, _ in csv_text([CensusRow(epi, is_canonical(epi))]))
+    elif args.fmt == "csv" and validation.valid:
+        row = CensusRow(epi, is_canonical(epi, units(args.order)))
+        sys.stdout.writelines(text for text, _ in csv_text([row]))
     else:
         # csv stdout carries rows only; the check table is a diagnostic.
         _print_validation(validation, sys.stderr if args.fmt == "csv" else None)
         if report:
             _print_report_table(format_signature(sig), args.order, report)
-    return EXIT_OK if report else EXIT_INVALID
+    return EXIT_OK if validation.valid else EXIT_INVALID
 
 
 def _cmd_enumerate(args):

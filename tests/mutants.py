@@ -72,7 +72,8 @@ MUTANTS = [
     ("census.py", "if order % 2 == 0 else 1)", "if order % 2 == 0 else 2)", "test_census.py"),
     # Each user-facing result is assembled once: analyze's exit code, the
     # map text's empty sections and the invalid-map error.
-    ("cli.py", "return EXIT_OK if report else EXIT_INVALID", "return EXIT_OK", "test_cli.py"),
+    ("cli.py", "return EXIT_OK if validation.valid else EXIT_INVALID", "return EXIT_OK",
+     "test_cli.py"),
     ("epimorphism.py", "for key, count in sections if count])",
      "for key, count in sections])", "test_cli.py"),
     ("epimorphism.py", "if not self.valid:", "if False:", "test_fixedpoints.py"),
@@ -95,12 +96,15 @@ MUTANTS = [
      "test_census.py"),
     ("census.py", ', "signature": {signature}}}', "}}", "test_census.py"),
     # The one encoder: a record type's format takes its fields sorted, a
-    # bool is written true or false, and a tuple goes through one format in
-    # one pass only when every item is of that one flat type.
+    # bool is written true or false, a non-int field is encoded, not just
+    # put in as its str(), and a tuple goes through one format in one pass
+    # only when every item is of one record type.
     ("census.py", "sorted(fields(kind), key=lambda field: field.name)", "fields(kind)",
      "test_census.py"),
     ("census.py", '_BOOLS = ("false", "true")', '_BOOLS = ("False", "True")', "test_census.py"),
-    ("census.py", "if rows and len(set(map(type, items))) == 1:", "if rows:", "test_census.py"),
+    ("census.py", "map(_json, values[j :: len(names)])", "map(str, values[j :: len(names)])",
+     "test_census.py"),
+    ("census.py", " and len(set(map(type, items))) == 1:", ":", "test_census.py"),
     # The row layout: the shadow key sorts each run of equal periods, the e
     # images and the glides or (a, b) pairs, and the map text writes the a
     # images before the b images.
@@ -132,7 +136,8 @@ MUTANTS = [
     # reads the report's Scherrer equality.
     ("census.py", "list(_iter_epimorphisms(sig, order, up_to_aut))",
      "list(_iter_epimorphisms(sig, order))", "test_cli.py"),
-    ("census.py", "if up_to_aut and not is_canonical(epi):", "if False:", "test_cli.py"),
+    ("census.py", "if up_to_aut and not is_canonical(epi, unit_group):", "if False:",
+     "test_cli.py"),
     ("census.py",
      "            report = full_report(epi)\n"
      "            middle = shared.get(epi.e_images)\n            if middle is None:\n",
@@ -175,7 +180,7 @@ MUTANTS = [
     ("signature.py", "    if rest:\n", "    if False:\n", "test_signature.py"),
     ("signature.py", "2 if self is Sign.PLUS else 1", "1 if self is Sign.PLUS else 2",
      "test_signature.py"),
-    ("census.py", "units(order)[1:]", "units(order)[2:]", "test_cli.py"),
+    ("census.py", "unit_group[1:]", "unit_group[2:]", "test_cli.py"),
     # A wrong isolated-point count and a wrong kernel genus; each also makes
     # census --order 4 --max-genus 12 --verify exit 3.
     ("fixedpoints.py", "sig.periods if m % d == 0", "sig.periods[1:] if m % d == 0",

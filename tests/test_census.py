@@ -38,6 +38,7 @@ from necfix.census import (
     write_census_csv,
     write_census_jsonl,
 )
+from necfix.epimorphism import CheckResult
 from necfix.fixedpoints import CycleOvals, PowerFixedPoints
 from necfix.oracle import OracleTranscript, PowerCosetCount, SweepTranscript
 from fractions import Fraction
@@ -302,13 +303,14 @@ def _unit_multiple(epi, unit):
 
 def test_unit_orbits_partition_valid_maps():
     for order in range(1, 13):
+        unit_group = units(order)
         for sig in enumerate_signatures(order, 8):
             raw = enumerate_epimorphisms(sig, order)
-            canonical = [e for e in raw if is_canonical(e)]
+            canonical = [e for e in raw if is_canonical(e, unit_group)]
             orbit_reps = set()
             for epi in raw:
-                orbit = {_unit_multiple(epi, u) for u in units(order)}
-                reps = [e for e in orbit if is_canonical(e)]
+                orbit = {_unit_multiple(epi, u) for u in unit_group}
+                reps = [e for e in orbit if is_canonical(e, unit_group)]
                 assert len(reps) == 1
                 assert reps[0] in raw
                 orbit_reps.add(reps[0])
@@ -326,12 +328,13 @@ def test_up_to_aut_skips_non_canonical_maps_before_validate(monkeypatch):
 
     monkeypatch.setattr(necfix.census, "validate", recording_validate)
     for order in [*range(1, 17), 24, 30]:
+        unit_group = units(order)
         for sig in enumerate_signatures(order, 8):
             full = enumerate_epimorphisms(sig, order)
             seen.clear()
             reduced = enumerate_epimorphisms(sig, order, up_to_aut=True)
-            assert reduced == [e for e in full if is_canonical(e)]
-            assert all(map(is_canonical, seen))
+            assert reduced == [e for e in full if is_canonical(e, unit_group)]
+            assert all(is_canonical(e, unit_group) for e in seen)
 
 
 def test_high_genus_rows_exist_for_minus_signatures():
@@ -355,7 +358,7 @@ def test_rows_carry_reports_and_flags():
         assert record["kernel_genus"] == report.kernel_genus
         assert record["scherrer_equality"] == report.involution.scherrer_equality
         assert record["shadow_key"] == shadow_key(row.epi)
-        assert record["canonical"] == row.canonical == is_canonical(row.epi)
+        assert record["canonical"] == row.canonical == is_canonical(row.epi, units(4))
 
 
 def test_shadow_key_ignores_period_order():
@@ -564,7 +567,7 @@ def test_to_json_matches_asdict_reference(data):
     report = full_report(epi)
     for obj in (validate(epi), report, cross_check(epi)):
         assert_encodes_as_asdict(obj)
-    record = census_row_record(CensusRow(epi, is_canonical(epi)))
+    record = census_row_record(CensusRow(epi, is_canonical(epi, units(epi.modulus))))
     reference = {**record, "report": dataclasses.asdict(report)}
     assert to_json(record) == json.dumps(reference, sort_keys=True)
 
@@ -644,6 +647,18 @@ def test_to_json_writes_a_tuple_of_mixed_records_item_by_item():
     assert to_json(mixed) == json.dumps(reference, sort_keys=True)
     assert to_json([*mixed, None, "x", 7]) == json.dumps([*reference, None, "x", 7],
                                                          sort_keys=True)
+    # Tuples of one record type whose fields are not all ints take the
+    # one-pass path too: reports with a nested tuple and a None or record
+    # field, and checks with str and bool fields, one text needing escapes.
+    reports = tuple(full_report(parse_map_text(parse_signature(text), order, images))
+                    for text, order, images in (("(1;-;[5,5];{})", 5, "x=1,2;d=1"),
+                                                ("(0;+;[2,7];{()})", 14, "x=7,2;e=5")))
+    assert reports[0].involution is None and reports[1].involution is not None
+    invalid = parse_map_text(EXAMPLE1_ODD, 14, "x=7,3;e=4")
+    checks = (*validate(invalid).checks, CheckResult('say "\u00e9"', True, "tab\there"))
+    for records in (reports, checks, checks[:1]):
+        reference = [dataclasses.asdict(item) for item in records]
+        assert to_json(records) == json.dumps(reference, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, frozenset(), object(), {1: "int key"}, CycleOvals])

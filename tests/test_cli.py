@@ -111,6 +111,25 @@ def test_analyze_csv_invalid_map_keeps_stdout_empty(capsys):
     assert "FAIL SMOOTH-ELLIPTIC" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_analyze_validates_its_map_twice(capsys, monkeypatch, fmt):
+    # Once for the check table, once inside full_report: the CSV line takes
+    # its report from full_report itself, so analyze takes none for it.
+    import necfix.cli as cli
+    import necfix.fixedpoints as fixedpoints
+
+    calls = []
+    for module in (cli, fixedpoints):
+        original = module.validate
+        monkeypatch.setattr(module, "validate",
+                            lambda epi, original=original: calls.append(epi) or original(epi))
+    code, out, _ = run_cli(capsys, "analyze", "(0;+;[2,7];{()})", "--order", "14",
+                           "--map", "x=7,2;e=5", "--format", fmt)
+    assert code == 0
+    assert out
+    assert len(calls) == 2
+
+
 def test_analyze_odd_order_table_has_no_involution(capsys):
     code, out, err = run_cli(
         capsys, "analyze", "(1;-;[5,5];{})", "--order", "5", "--map", "x=1,2;d=1"
@@ -712,7 +731,7 @@ def test_census_orbit_disagreement_exits_3(capsys, monkeypatch):
 
     # Every map claims to be canonical: each two-map orbit at order 4 then
     # counts two canonical rows, which only the orbit count sees.
-    monkeypatch.setattr(census, "is_canonical", lambda epi: True)
+    monkeypatch.setattr(census, "is_canonical", lambda epi, unit_group: True)
     code, out, err = run_cli(capsys, "census", "--order", "4", "--max-genus", "6", "--verify")
     assert code == 3
     assert out.startswith("census: order 4, max genus 6, 132 row(s)\n")
