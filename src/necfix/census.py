@@ -127,7 +127,8 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
     orientation) images.  x images have exact order m_i; the long relation
     (weight 1 for x and e, 2 for glides, 0 for a/b) fixes the last e image or
     glide (none or two roots at even order).  up_to_aut skips a non-canonical
-    map before validate (units keep validity).  The budget refuses first."""
+    map before validate (units keep validity).  The budget refuses first: the
+    candidate maps, and with up_to_aut the order gcd steps of the unit group."""
     size = 0 if sig.nonempty_cycles else candidate_count(
         sig.genus, sig.sign, sig.periods, sig.empty_cycles, order)
     check_budget(size, "{} has {} candidate maps at order {}", sig, size, order)
@@ -142,8 +143,11 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
     weights = (1,) * (r + cycles) + (0 if plus else 2,) * n_orient
     weights = weights[:solved] + weights[solved + 1 :]
     c_fixed = (order // 2,) * cycles
-    # units(order), taken before the first map that needs it: none does at
-    # a large order whose candidates are all invalid.
+    # units(order), taken before the first map that needs it: with
+    # up_to_aut the first candidate, else the first valid map (none at a
+    # large order whose candidates are all invalid).
+    if up_to_aut:
+        check_budget(order, "the unit group of order {} takes {} gcd steps", order, order)
     unit_group = up_to_aut and units(order)
     for free in product(*x_slots, *[range(order)] * (cycles + n_orient - 1)):
         rest = -sum(map(operator.mul, weights, free)) % order
@@ -326,7 +330,9 @@ def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
     lexicographic) regardless of the worker count.  The pool never exceeds
     the task count or the CPU count.  The signature search's running count,
     which includes every signature's candidate maps, bounds the census: over
-    the budget it raises ValueError before any task starts.
+    the budget it raises ValueError before any task starts.  With up_to_aut,
+    an order over the budget raises when the first signature with candidate
+    maps starts, before its unit group or any of its maps is built.
     """
     check_census_args(order, workers)
     tasks = [(sig, order, up_to_aut, verify) for sig in enumerate_signatures(order, max_genus)]

@@ -35,6 +35,8 @@ class CyclicEpimorphism:
     e_images: tuple[int, ...] = ()
     c_images: tuple[int, ...] = ()
     orient_images: tuple[int, ...] = ()
+    # The report of the map's first validate: unannotated, so not a field.
+    _validation = None
 
     def __post_init__(self):
         modulus = self.modulus
@@ -135,9 +137,25 @@ def validate(epi):
                              and r0 + r for each reversing image r.
       GENUS                  the kernel genus is an integer at least 3.
 
-    Only the values the checks read are computed here; `_verdict` turns
-    them into the report, so maps with equal values share one.
+    A map keeps the report of its first validate, in an attribute that is
+    not a dataclass field (equality, hash, repr, fields() and JSON ignore
+    it, dataclasses.replace starts without it, pickle carries it), so
+    every later call on the same map object, as full_report, cross_check
+    and analyze make on maps already validated, returns that report
+    without redoing the checks.  Once those repeat calls are gone (ROADMAP
+    item 2), this memo has nothing left to catch and goes with them.
     """
+    report = epi._validation
+    if report is None:
+        report = _checks(epi)
+        object.__setattr__(epi, "_validation", report)
+    return report
+
+
+def _checks(epi):
+    """The report of validate, from the checks run on the map.  Only the
+    values the checks read are computed here; `_verdict` turns them into
+    the report, so maps with equal values share one."""
     sig = epi.sig
     order = epi.modulus
     xs, es, cs = epi.x_images, epi.e_images, epi.c_images

@@ -91,9 +91,10 @@ def full_report(epi):
     """Complete fixed-point data of the action defined by a valid epi.
 
     The per-power table covers every i in [1, order); the involution block
-    is present exactly when the order is even.  The map is validated first;
-    valid maps with equal signature, order and connecting images may get
-    the same (frozen) report object.
+    is present exactly when the order is even.  The map is validated first,
+    which for a map validated before (a census row, analyze's map) reads
+    the verdict the map keeps; valid maps with equal signature, order and
+    connecting images may get the same (frozen) report object.
     """
     validation = validate(epi)
     validation.require()

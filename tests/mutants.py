@@ -88,6 +88,18 @@ MUTANTS = [
      "        (sig, order), _build(sig, order, c_images, bad, total, size, plus_size))\n\n\n"
      "def _build(sig, order, c_images, bad, total, size, plus_size):\n",
      "test_epimorphism.py"),
+    # A map keeps the verdict of its own first validate, never one that its
+    # signature holds for every map of it.
+    ("epimorphism.py",
+     "    report = epi._validation\n"
+     "    if report is None:\n"
+     "        report = _checks(epi)\n"
+     '        object.__setattr__(epi, "_validation", report)\n',
+     '    report = getattr(epi.sig, "_validation", None)\n'
+     "    if report is None:\n"
+     "        report = _checks(epi)\n"
+     '        object.__setattr__(epi.sig, "_validation", report)\n',
+     "test_epimorphism.py"),
     ("census.py",
      "shared.get(epi.e_images)\n            if middle is None:\n"
      "                middle = shared[epi.e_images] =",

@@ -655,6 +655,40 @@ def test_verify_and_analyze_bounds_are_exact(capsys, monkeypatch):
     assert err == "error: a report at order 14 has 13 power rows, above the limit of 12\n"
 
 
+def test_up_to_aut_budgets_its_unit_group(capsys, monkeypatch):
+    import necfix.census as census
+
+    # --up-to-aut takes units(M), M gcd steps, before the first candidate;
+    # the budget counts them first, so no unit group above it is built.
+    units = census.units
+
+    def bounded_units(order):
+        assert order <= census.MAX_CANDIDATES, f"units({order}) built past the bound"
+        return units(order)
+
+    monkeypatch.setattr(census, "units", bounded_units)
+    signature = "(0;+;[2,2,2];{()})"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", signature, "--order", "10000000", "--up-to-aut")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: the unit group of order 10000000 takes 10000000 gcd steps, "
+                   "above the limit of 1000000\n")
+    # A census reaches it at its first signature with candidate maps,
+    # (0;+;[2,3];{()}) here.
+    code, out, err = run_cli(capsys, "census", "--order", "3000000", "--max-genus", "1000002",
+                             "--up-to-aut")
+    assert (code, out) == (2, "")
+    assert err == ("error: the unit group of order 3000000 takes 3000000 gcd steps, "
+                   "above the limit of 1000000\n")
+    # The bound is exact, and without --up-to-aut no unit group is taken
+    # for a signature without valid maps.
+    monkeypatch.setattr(census, "MAX_CANDIDATES", 1000)
+    assert run_cli(capsys, "enumerate", signature, "--order", "1000", "--up-to-aut")[0] == 0
+    assert run_cli(capsys, "enumerate", signature, "--order", "1002", "--up-to-aut")[0] == 2
+    assert run_cli(capsys, "enumerate", signature, "--order", "1002")[0] == 0
+
+
 def test_analyze_order_zero_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "(0;+;[2,7];{()})", "--order", "0",
                              "--map", "x=7,2;e=5")

@@ -1,4 +1,7 @@
+import dataclasses
+import io
 import math
+import pickle
 from itertools import permutations
 
 import pytest
@@ -14,6 +17,7 @@ from necfix import (
     parse_signature,
     validate,
 )
+from necfix.census import run_census, write_census_jsonl
 from necfix.epimorphism import _verdict
 
 from strategies import SIG_POOL, all_assignments, closure_set
@@ -184,17 +188,64 @@ VERDICT_SIGS = [
 ]
 
 
+def verdict_maps():
+    return [epi for sig in VERDICT_SIGS for order in range(2, 9)
+            for epi in all_assignments(sig, order)]
+
+
 def test_shared_verdicts_do_not_depend_on_the_order_of_calls():
     # A cache key that missed a value the checks read would hand a map the
-    # report of whichever map with the same key came first.
-    maps = [epi for sig in VERDICT_SIGS for order in range(2, 9)
-            for epi in all_assignments(sig, order)]
+    # report of whichever map with the same key came first.  Each pass
+    # validates maps of its own: a map keeps its first verdict, so the same
+    # objects would only read the forward pass back.
     _verdict.cache_clear()
-    forward = [validate(epi) for epi in maps]
+    forward = [validate(epi) for epi in verdict_maps()]
     _verdict.cache_clear()
-    backward = [validate(epi) for epi in reversed(maps)]
+    backward = [validate(epi) for epi in reversed(verdict_maps())]
     assert forward == backward[::-1]
     assert {r.valid for r in forward} == {True, False}
+
+
+def test_a_map_keeps_its_verdict(monkeypatch):
+    # A census validates each candidate once: the writer's full_report reads
+    # the verdict its row's map keeps, so _verdict is not reached again.
+    import necfix.census as census
+    import necfix.epimorphism as epimorphism
+
+    verdicts, candidates = [], []
+    monkeypatch.setattr(epimorphism, "_verdict",
+                        lambda *values: verdicts.append(values) or _verdict(*values))
+    validate_candidate = census.validate
+    monkeypatch.setattr(census, "validate",
+                        lambda epi: candidates.append(epi) or validate_candidate(epi))
+    rows, _ = run_census(4, 6)
+    write_census_jsonl(rows, io.StringIO())
+    assert len(verdicts) == len(candidates) > len(rows) > 0
+
+    # A new map of the same signature, as dataclasses.replace builds one,
+    # takes its own verdict, not the one of the map it was built from.
+    epi = rows[0].epi
+    report = validate(epi)
+    assert report.valid
+    broken = dataclasses.replace(epi, x_images=(0,) * len(epi.x_images))
+    assert "SMOOTH-ELLIPTIC" in validate(broken).failed()
+    assert validate(epi) is report
+
+    # A worker's rows arrive pickled, with their verdicts.
+    reached = len(verdicts)
+    arrived = pickle.loads(pickle.dumps(epi))
+    assert validate(arrived) == report
+    assert len(verdicts) == reached
+
+    # The verdict is not a field: a validated map and an unvalidated copy
+    # are equal, hash alike and read alike.
+    fresh = CyclicEpimorphism(*(getattr(epi, f.name) for f in dataclasses.fields(epi)))
+    assert "_validation" not in vars(fresh)
+    assert epi == fresh and fresh == epi
+    assert hash(epi) == hash(fresh)
+    assert repr(epi) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(epi)] == [
+        "sig", "modulus", "x_images", "e_images", "c_images", "orient_images"]
 
 
 def test_constructor_rejects_wrong_lengths():
