@@ -21,8 +21,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, groupby, product
 from json.encoder import encode_basestring_ascii as _string
 
-from .epimorphism import (CyclicEpimorphism, flat_images, format_map_text, map_layout, picker,
-                          validate)
+from .epimorphism import CyclicEpimorphism, flat_images, format_map_text, map_layout, validate
 from .fixedpoints import full_report, twists_field
 from .oracle import cross_check
 from .signature import NecSignature, Sign, format_signature, kernel_genus, sized, ten_to
@@ -234,61 +233,40 @@ def enumerate_epimorphisms(sig, order, up_to_aut=False):
 
 
 def shadow_key(epi):
-    """Sort-normalized key identifying rows up to permuting equal periods,
-    cycles and genus generators; a dedup aid for downstream tools, not an
-    equivalence the census itself quotients by.  It is the row layout of
-    the map's signature and order filled with the map's images."""
-    _, _, shadow, shadow_values = _row_layout(epi.sig, epi.modulus)
-    return shadow % tuple(shadow_values(flat_images(epi)))
+    """The shadow_key field of the map's census JSON line: its images
+    sort-normalized, so that rows differing only by permuting equal
+    periods, cycles or genus generators share it.  A dedup aid for
+    downstream tools, not an equivalence the census itself quotients by;
+    the README's "Census output" defines it."""
+    shadow, shadow_values = _shadow_layout(epi.sig, epi.modulus)
+    return shadow % tuple(shadow_values(epi))
 
 
-def _row_layout(sig, order):
-    """What the text of a census JSON line of sig at this order takes from
-    them alone, so a census writes each block through one.
-
-    Returns (text, pick, shadow, shadow_values).  text and pick are
-    map_layout's.  shadow is the shadow_key format,
-    "M4|g0+|x[2:%d,4:%d,4:%d]|e[%d]|o[%d.%d]", with the periods sorted and
-    a field per image ("%d.%d" per a/b pair).  shadow_values takes a map's
-    flat_images to its fields: the x images in the periods' sorted
-    (stable) order, the e images, then the a/b or glide images, with each
-    run of equal periods, the e images and the glides sorted, and the
-    (a, b) pairs sorted as pairs.
-    """
-    r, k, n = len(sig.periods), sig.empty_cycles, sig.sign.alpha * sig.genus
+def _shadow_layout(sig, order):
+    """The shadow_key format of every map of sig at this order,
+    "M4|g0+|x[2:%d,4:%d,4:%d]|e[%d]|o[%d.%d]" with the periods sorted and
+    a field per image ("%d.%d" per a/b pair), and shadow_values, which takes
+    a map to the fields: its x images sorted by (period, image), its e
+    images sorted, then its glides sorted or its (a, b) pairs sorted as
+    pairs.  When the periods strictly increase, the x images are in that
+    order as they stand."""
+    periods = sig.periods
     plus = sig.sign is Sign.PLUS
-    by_period = sorted(range(r), key=sig.periods.__getitem__)
-    # (start, stop, step) of each slice to sort, step 2 for the pairs; a
-    # slice of one item (or one pair) is sorted already.
-    runs, start = [], 0
-    for _, run in groupby(sorted(sig.periods)):
-        size = len(list(run))
-        runs.append((start, start + size, 1))
-        start += size
-    runs += [(r, r + k, 1), (r + k, r + k + n, 2 if plus else 1)]
-    runs = [(start, stop, step) for start, stop, step in runs if stop - start > step]
-    places = range(r + n)
-    if k or by_period != list(places[:r]):
-        places = (*by_period, *range(r, r + k), *range(r + 2 * k, r + 2 * k + n))
-    pick = picker(places)
+    increasing = all(m < n for m, n in zip(periods, periods[1:]))
 
-    def shadow_values(images):
-        values = pick(images)
-        if runs:
-            values = list(values)
-            for start, stop, step in runs:
-                if step == 1:
-                    values[start:stop] = sorted(values[start:stop])
-                else:
-                    pairs = sorted(zip(values[start:stop:2], values[start + 1 : stop : 2]))
-                    values[start:stop] = chain.from_iterable(pairs)
-        return values
+    def shadow_values(epi):
+        xs = epi.x_images if increasing else [u for _, u in sorted(zip(periods, epi.x_images))]
+        orient = epi.orient_images
+        if plus:
+            orient = chain.from_iterable(sorted(zip(orient[::2], orient[1::2])))
+        else:
+            orient = sorted(orient)
+        return chain(xs, sorted(epi.e_images), orient)
 
-    xs = ",".join([f"{sig.periods[i]}:%d" for i in by_period])
-    es = ",".join(["%d"] * k)
-    orient = ",".join(["%d.%d" if plus else "%d"] * (n // sig.sign.alpha))
-    shadow = f"M{order}|g{sig.genus}{sig.sign.value}|x[{xs}]|e[{es}]|o[{orient}]"
-    return (*map_layout(sig), shadow, shadow_values)
+    xs = ",".join([f"{m}:%d" for m in sorted(periods)])
+    es = ",".join(["%d"] * sig.empty_cycles)
+    orient = ",".join(["%d.%d" if plus else "%d"] * sig.genus)
+    return f"M{order}|g{sig.genus}{sig.sign.value}|x[{xs}]|e[{es}]|o[{orient}]", shadow_values
 
 
 def _census_task(args):
@@ -429,16 +407,18 @@ def _csv_middle(report):
 
 
 def _jsonl_block(sig, modulus):
-    # The row layout's formats with the signature's text folded in: they
-    # need no JSON escape, so a format's JSON string formats the string.
-    text, pick, shadow, shadow_values = _row_layout(sig, modulus)
+    # The map-text and shadow_key formats with the signature's text folded
+    # in: they need no JSON escape, so a format's JSON string formats the
+    # string.
+    text, pick = map_layout(sig)
+    shadow, shadow_values = _shadow_layout(sig, modulus)
     signature = to_json(format_signature(sig))
     line = (f'{{"canonical": %s, "images": {_string(text)}, %s, '
             f'"shadow_key": {_string(shadow)}, "signature": {signature}}}\n')
 
     def fill(row, middle):
-        images = flat_images(row.epi)
-        return line % (_BOOLS[row.canonical], *pick(images), middle, *shadow_values(images))
+        epi = row.epi
+        return line % (_BOOLS[row.canonical], *pick(flat_images(epi)), middle, *shadow_values(epi))
 
     return fill
 

@@ -330,29 +330,18 @@ def map_layout(sig):
     images it writes, so a map's text is one %.  The format has a %d field
     per image, "x=%d,%d;e=%d;c=%d;a=%d;b=%d" or "...;d=%d", with each
     section without images left out; pick takes a map's flat_images to the
-    fields' order, the a images (even places) before the b images (odd
-    places).  The 64 most recent signatures are kept."""
+    fields' order: tuple, or with two or more a/b pairs an itemgetter that
+    puts the a images (even places) before the b images (odd places).  The
+    64 most recent signatures are kept."""
     r, k, n = len(sig.periods), sig.empty_cycles, sig.sign.alpha * sig.genus
     start = r + 2 * k
+    pick = tuple
     if sig.sign is Sign.PLUS:
         sections = (("x", r), ("e", k), ("c", k), ("a", n // 2), ("b", n // 2))
+        if n > 2:
+            pick = operator.itemgetter(*range(start), *range(start, start + n, 2),
+                                       *range(start + 1, start + n, 2))
     else:
         sections = (("x", r), ("e", k), ("c", k), ("d", n))
-    places = range(start + n)
-    if sig.sign is Sign.PLUS and n > 2:
-        places = (*range(start), *range(start, start + n, 2), *range(start + 1, start + n, 2))
     text = ";".join([f"{key}=" + ",".join(["%d"] * count) for key, count in sections if count])
-    return text, picker(places)
-
-
-def picker(indices):
-    """The function taking a tuple to the tuple of its items at these
-    indices: tuple itself, which returns a tuple as it is, for a range
-    0, 1, ..., n - 1; else itemgetter, which returns a lone item bare."""
-    if indices == range(len(indices)):
-        return tuple
-    indices = tuple(indices)
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda values: (values[i],)
-    return operator.itemgetter(*indices)
+    return text, pick

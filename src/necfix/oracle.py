@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .epimorphism import subgroup_generated, validate
-from .fixedpoints import cycle_ovals, isolated_fixed_points
+from .fixedpoints import cycle_ovals, full_report, isolated_fixed_points
 from .signature import Sign
 
 
@@ -236,6 +236,22 @@ def cross_check(epi):
         disagreements.append(
             f"Euler: 2 - p + fixed points = {euler}, M(2 - alpha*g - k) = {quotient}"
         )
+
+    # The numbers a census row publishes: full_report's F, V, F + 2V, p + 2
+    # and each cycle's ovals and twist, against the cosets fixed by t^N and
+    # the double-coset and exponent counts.
+    involution = full_report(epi).involution
+    if involution is not None:
+        fixed_by_half = sum(by_power[order // 2] for by_power in fixed)
+        ovals = sum(c.class_count_doublecoset for c in per_cycle)
+        published = (involution.isolated_total, involution.oval_total,
+                     involution.scherrer_lhs, involution.scherrer_rhs,
+                     [(c.oval_count, c.twisted) for c in involution.per_cycle])
+        derived = (fixed_by_half, ovals, fixed_by_half + 2 * ovals, report.kernel_genus + 2,
+                   [(c.class_count_doublecoset, c.twisted_by_theta_prime) for c in per_cycle])
+        if published != derived:
+            disagreements.append(f"report: F, V, F + 2V, p + 2, cycles {published}, "
+                                 f"oracle {derived}")
 
     return OracleTranscript(
         order,

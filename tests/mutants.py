@@ -117,10 +117,17 @@ MUTANTS = [
     ("census.py", "map(_json, values[j :: len(names)])", "map(str, values[j :: len(names)])",
      "test_census.py"),
     ("census.py", " and len(set(map(type, items))) == 1:", ":", "test_census.py"),
-    # The row layout: the shadow key sorts each run of equal periods, the e
-    # images and the glides or (a, b) pairs, and the map text writes the a
-    # images before the b images.
-    ("census.py", "if stop - start > step]", "if False]", "test_census.py"),
+    # The shadow key sorts the x images unless the periods strictly
+    # increase, the e images and the (a, b) pairs as pairs, and the map
+    # text writes the a images before the b images.
+    ("census.py", "sorted(epi.e_images)", "epi.e_images", "test_census.py"),
+    ("census.py", "all(m < n for m, n", "all(m <= n for m, n", "test_census.py"),
+    ("census.py", "chain.from_iterable(sorted(zip(orient[::2], orient[1::2])))",
+     "chain.from_iterable(zip(orient[::2], orient[1::2]))", "test_census.py"),
+    ("epimorphism.py",
+     "*range(start, start + n, 2),\n"
+     "                                       *range(start + 1, start + n, 2))",
+     "*range(start, start + n))", "test_census.py"),
     # A block's text is written once it passes WRITE_CHUNK, never held whole,
     # and a CSV block's line format is what csv.writer writes of the
     # map-text format, so map text with a comma is quoted.
@@ -128,9 +135,6 @@ MUTANTS = [
     ("census.py", 'modulus, text, "%s", "%s"))\n    line = out.getvalue()\n',
      'modulus, "@", "%s", "%s"))\n    line = out.getvalue().replace("@", text)\n',
      "test_cli.py"),
-    ("epimorphism.py",
-     "places = (*range(start), *range(start, start + n, 2), *range(start + 1, start + n, 2))",
-     "places = range(start + n)", "test_census.py"),
     ("census.py", "sum(map(operator.mul, weights, free))", "sum(free)", "test_census.py"),
     # The solved image: sign '-' without cycles still has maps, the odd-order
     # root halves the rest, and an even rest has two roots.
@@ -198,6 +202,13 @@ MUTANTS = [
     ("fixedpoints.py", "sig.periods if m % d == 0", "sig.periods[1:] if m % d == 0",
      "test_cli.py"),
     ("signature.py", "+ 2 * measure.denominator", "+ 3 * measure.denominator", "test_cli.py"),
+    # The report a row prints: its V sums every cycle's ovals and its F is
+    # that of t^N.  The oracle checks the report against its own counts, so
+    # each also makes census --order 4 --max-genus 12 --verify exit 3.
+    ("fixedpoints.py", "sum(c.oval_count for c in per_cycle)",
+     "sum(c.oval_count for c in per_cycle[1:])", "test_oracle.py"),
+    ("fixedpoints.py", "per_power[order // 2 - 1]", "per_power[order // 2 - 2]",
+     "test_oracle.py"),
     # phi keeps the prime left above the square root.
     ("census.py", "if rest > 1 else", "if rest > 2 else", "test_census.py"),
     # The closure grows by doubling an M-bit set: its rotation keeps no bit

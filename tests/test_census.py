@@ -407,11 +407,13 @@ def reference_shadow_key(epi):
 @example(Sign.PLUS, 3, [2, 2], 0, 60, [30, 30, 9, 4, 9, 2, 1, 8] + [0] * 9, False)
 @example(Sign.MINUS, 2, [4, 2, 4], 1, 8, [3, 4, 1, 6, 5, 7, 2] + [0] * 10, True)
 @example(Sign.PLUS, 0, [], 0, 1, [0] * 17, False)
-def test_row_layout_matches_the_reference_texts(sign, genus, periods, cycles, order, images,
-                                                with_c):
-    # Unsorted and repeated periods, empty sections, genus 0 and c images
-    # other than M/2: map text and shadow key read as their reference
-    # joins, and the map text parses back to its map.
+@example(Sign.PLUS, 2, [2, 3, 4], 1, 12, [6, 8, 3, 5, 6, 7, 2, 3, 9] + [0] * 8, True)
+def test_map_text_and_shadow_key_match_their_reference_texts(sign, genus, periods, cycles, order,
+                                                             images, with_c):
+    # Unsorted, repeated and strictly increasing periods, empty sections,
+    # genus 0, unsorted (a, b) pairs and c images other than M/2: map text
+    # and shadow key read as their reference joins, and the map text parses
+    # back to its map.
     genus = max(genus, 1 if sign is Sign.MINUS else 0)
     sig = NecSignature(genus, sign, tuple(periods), cycles)
     r, n = len(periods), sign.alpha * genus

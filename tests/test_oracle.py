@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -181,6 +182,29 @@ def test_oracle_catches_an_off_by_one_formula(monkeypatch, capsys):
     )
     transcript = cross_check(parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5"))
     assert "power 2: coset count 2, formula 3" in transcript.disagreements
+
+
+def test_oracle_checks_the_numbers_a_row_publishes(monkeypatch):
+    import necfix.oracle as oracle
+    from necfix.fixedpoints import full_report
+
+    def off_by_one(epi):
+        report = full_report(epi)
+        involution = report.involution
+        return dataclasses.replace(report, involution=dataclasses.replace(
+            involution, oval_total=involution.oval_total + 1))
+
+    # The report that census rows print counts one oval too many; the
+    # oracle's own counts are right.
+    epi = parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5")
+    assert cross_check(epi).agreement
+    monkeypatch.setattr(oracle, "full_report", off_by_one)
+    transcript = cross_check(epi)
+    assert not transcript.agreement
+    assert transcript.disagreements == (
+        "report: F, V, F + 2V, p + 2, cycles (7, 2, 9, 9, [(1, True)]), "
+        "oracle (7, 1, 9, 9, [(1, True)])",
+    )
 
 
 def test_involution_sweep_rejects_odd():
