@@ -29,8 +29,9 @@ from .signature import NecSignature, Sign, format_signature, kernel_genus, sized
 
 @dataclass(frozen=True)
 class CensusRow:
-    """One valid assignment and whether it is the least representative of its
-    Aut(C_M) orbit.  Its report is full_report(epi), taken when it is written."""
+    """A valid map of a census block (or analyze's CSV line) and whether it is
+    the least of its Aut(C_M) orbit.  Its report is full_report(epi), taken
+    when it is written."""
 
     epi: CyclicEpimorphism
     canonical: bool
@@ -122,8 +123,8 @@ def enumerate_signatures(order, max_genus):
 
 
 def _iter_epimorphisms(sig, order, up_to_aut=False):
-    """Yield the rows of one signature in lexicographic order of the (x, e,
-    orientation) images.  x images have exact order m_i; the long relation
+    """Yield the valid maps of one signature in lexicographic order of the (x,
+    e, orientation) images.  x images have exact order m_i; the long relation
     (weight 1 for x and e, 2 for glides, 0 for a/b) fixes the last e image or
     glide (none or two roots at even order).  up_to_aut skips a non-canonical
     map before validate (units keep validity).  The budget refuses first: the
@@ -142,12 +143,9 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
     weights = (1,) * (r + cycles) + (0 if plus else 2,) * n_orient
     weights = weights[:solved] + weights[solved + 1 :]
     c_fixed = (order // 2,) * cycles
-    # units(order), taken before the first map that needs it: with
-    # up_to_aut the first candidate, else the first valid map (none at a
-    # large order whose candidates are all invalid).
     if up_to_aut:
         check_budget(order, "the unit group of order {} takes {} gcd steps", order, order)
-    unit_group = up_to_aut and units(order)
+        unit_group = units(order)
     for free in product(*x_slots, *[range(order)] * (cycles + n_orient - 1)):
         rest = -sum(map(operator.mul, weights, free)) % order
         if plus:
@@ -163,8 +161,7 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
             if up_to_aut and not is_canonical(epi, unit_group):
                 continue
             if validate(epi).valid:
-                unit_group = unit_group or units(order)
-                yield CensusRow(epi, up_to_aut or is_canonical(epi, unit_group))
+                yield epi
 
 
 def candidate_count(genus, sign, periods, cycles, order):
@@ -229,7 +226,7 @@ def enumerate_epimorphisms(sig, order, up_to_aut=False):
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    return [row.epi for row in _iter_epimorphisms(sig, order, up_to_aut)]
+    return list(_iter_epimorphisms(sig, order, up_to_aut))
 
 
 def shadow_key(epi):
@@ -271,13 +268,17 @@ def _shadow_layout(sig, order):
 
 def _census_task(args):
     sig, order, up_to_aut, verify = args
-    rows = list(_iter_epimorphisms(sig, order, up_to_aut))
+    epis = list(_iter_epimorphisms(sig, order, up_to_aut))
+    # units(order), taken only for a block with a valid map (none at a large
+    # order whose candidates are all invalid); up_to_aut yields canonical maps.
+    unit_group = epis and not up_to_aut and units(order)
+    rows = [CensusRow(epi, up_to_aut or is_canonical(epi, unit_group)) for epi in epis]
     disagreements = []
     if verify:
         # Aut(Z_M) acts freely on valid maps (a unit fixing generating images
         # is 1), so each orbit has len(units) rows, one of them canonical.
-        if rows and not up_to_aut:
-            size, canonical = len(units(order)), sum(row.canonical for row in rows)
+        if unit_group:
+            size, canonical = len(unit_group), sum(row.canonical for row in rows)
             if len(rows) != size * canonical:
                 disagreements.append(f"{format_signature(sig)} M={order}: {len(rows)} rows, "
                                      f"not {size} units x {canonical} canonical")

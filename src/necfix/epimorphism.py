@@ -142,8 +142,7 @@ def validate(epi):
     it, dataclasses.replace starts without it, pickle carries it), so
     every later call on the same map object, as full_report, cross_check
     and analyze make on maps already validated, returns that report
-    without redoing the checks.  Once those repeat calls are gone (ROADMAP
-    item 2), this memo has nothing left to catch and goes with them.
+    without redoing the checks.
     """
     report = epi._validation
     if report is None:

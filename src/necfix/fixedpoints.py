@@ -108,9 +108,8 @@ def _report(sig, order, e_images, genus):
 
     Holds at most 32 reports.  Those of one signature and order share the
     power table of _powers, so a miss builds only the involution block.  A
-    census block's e images vary fastest, so 32 do not hold its reports:
-    census --order 1000 --max-genus 993 builds 195,005 reports for 65,705
-    distinct keys (ROADMAP item 14 gives each block its own).
+    census block's e images vary fastest, so 32 do not hold a large block's
+    reports, and a report may be built again for a later map.
     """
     per_power = _powers(sig, order)
     involution = None

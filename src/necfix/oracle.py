@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .epimorphism import subgroup_generated, validate
-from .fixedpoints import cycle_ovals, full_report, isolated_fixed_points
+from .fixedpoints import cycle_ovals, full_report
 from .signature import Sign
 
 
@@ -172,15 +172,15 @@ def _fixed_cosets(order, u):
     return fixed
 
 
-def _compare_cycle(order, v, delta, epsilon, label, disagreements):
+def _compare_cycle(order, v, delta, epsilon, formula, label, disagreements):
     """Oracle counts for one connecting image t^v, whose exponents are delta
-    and epsilon, checked against the formula; each mismatch is appended to
-    disagreements under label.  Returns the SweepEntry fields, whose first
-    six are a CycleTranscript's."""
+    and epsilon, checked against formula, the CycleOvals that a report prints
+    or cycle_ovals gives for it; each mismatch is appended to disagreements
+    under label.  Returns the SweepEntry fields, whose first six are a
+    CycleTranscript's."""
     doublecoset = oval_classes_doublecoset(order, v)
     by_exponent = order // 2 // delta
     twisted = epsilon == 2 * delta
-    formula = cycle_ovals(order, v)
     if not (doublecoset == by_exponent == formula.oval_count):
         disagreements.append(
             f"{label}: double-coset {doublecoset}, N/delta {by_exponent}, "
@@ -196,70 +196,68 @@ def _compare_cycle(order, v, delta, epsilon, label, disagreements):
 
 
 def cross_check(epi):
-    """Run every oracle path against the closed-form counts for one action."""
-    report = validate(epi)
-    report.require()
+    """Check full_report's counts for one action against every oracle path: a
+    missing or misnumbered power row or cycle record is a disagreement too."""
+    validation = validate(epi)
+    validation.require()
     sig = epi.sig
     order = epi.modulus
+    published = full_report(epi)
+    involution, rows = published.involution, published.per_power
     disagreements = []
 
     # An odd order has no e images, and no involution for the walk to take.
     walks = exponents(order, epi.e_images) if epi.e_images else []
+    records = involution.per_cycle if involution else ()
+    record_vs = tuple(c.v for c in records)
+    if record_vs != epi.e_images:
+        disagreements.append(f"report: cycle records for v = {record_vs}, e images {epi.e_images}")
     per_cycle = tuple(
         CycleTranscript(*_compare_cycle(
-            order, v, delta, epsilon, f"cycle {j + 1} (v={v})", disagreements)[:6])
-        for j, (v, (delta, epsilon)) in enumerate(zip(epi.e_images, walks))
+            order, v, delta, epsilon, record, f"cycle {j + 1} (v={v})", disagreements)[:6])
+        for j, (v, (delta, epsilon), record) in enumerate(zip(epi.e_images, walks, records))
     )
 
     # The points over the j-th cone point form Z_M/<u_j>, with t acting by
     # translation; a point is fixed by t^i exactly when its coset is.
     fixed = [_fixed_cosets(order, u) for u in epi.x_images]
+    numbered = [row.i for row in rows] == list(range(1, order))
+    if not numbered:
+        disagreements.append(f"report: power rows are not t^1 .. t^{order - 1} in order")
     per_power = []
     fixed_points = 0
     for i in range(1, order):
         counts = [by_power[i] for by_power in fixed]
-        per_power.extend(
-            PowerCosetCount(i, j, count) for j, count in enumerate(counts)
-        )
+        per_power.extend(PowerCosetCount(i, j, count) for j, count in enumerate(counts))
         total = sum(counts)
         fixed_points += total
-        expected = isolated_fixed_points(sig, order, i)
-        if total != expected:
-            disagreements.append(f"power {i}: coset count {total}, formula {expected}")
+        if numbered and total != rows[i - 1].isolated_count:
+            disagreements.append(
+                f"power {i}: coset count {total}, formula {rows[i - 1].isolated_count}")
 
     # Euler: summed over the powers of t, the fixed sets' characteristics
     # are M times the quotient's; ovals add 0, the identity 2 - p.
     alpha = 2 if sig.sign is Sign.PLUS else 1
-    euler = 2 - report.kernel_genus + fixed_points
+    euler = 2 - validation.kernel_genus + fixed_points
     quotient = order * (2 - alpha * sig.genus - sig.empty_cycles)
     if euler != quotient:
         disagreements.append(
             f"Euler: 2 - p + fixed points = {euler}, M(2 - alpha*g - k) = {quotient}"
         )
 
-    # The numbers a census row publishes: full_report's F, V, F + 2V, p + 2
-    # and each cycle's ovals and twist, against the cosets fixed by t^N and
-    # the double-coset and exponent counts.
-    involution = full_report(epi).involution
-    if involution is not None:
+    # The involution's totals: F, V, F + 2V and p + 2 against the cosets
+    # fixed by t^N and the summed double-coset counts.
+    if order % 2 == 0:
         fixed_by_half = sum(by_power[order // 2] for by_power in fixed)
         ovals = sum(c.class_count_doublecoset for c in per_cycle)
-        published = (involution.isolated_total, involution.oval_total,
-                     involution.scherrer_lhs, involution.scherrer_rhs,
-                     [(c.oval_count, c.twisted) for c in involution.per_cycle])
-        derived = (fixed_by_half, ovals, fixed_by_half + 2 * ovals, report.kernel_genus + 2,
-                   [(c.class_count_doublecoset, c.twisted_by_theta_prime) for c in per_cycle])
-        if published != derived:
-            disagreements.append(f"report: F, V, F + 2V, p + 2, cycles {published}, "
-                                 f"oracle {derived}")
+        totals = involution and (involution.isolated_total, involution.oval_total,
+                                 involution.scherrer_lhs, involution.scherrer_rhs)
+        derived = (fixed_by_half, ovals, fixed_by_half + 2 * ovals, validation.kernel_genus + 2)
+        if totals != derived:
+            disagreements.append(f"report: F, V, F + 2V, p + 2 {totals}, oracle {derived}")
 
-    return OracleTranscript(
-        order,
-        per_cycle,
-        tuple(per_power),
-        not disagreements,
-        tuple(disagreements),
-    )
+    return OracleTranscript(order, per_cycle, tuple(per_power), not disagreements,
+                            tuple(disagreements))
 
 
 def involution_sweep(order):
@@ -272,7 +270,8 @@ def involution_sweep(order):
     _require_even(order)
     disagreements = []
     entries = tuple(
-        SweepEntry(*_compare_cycle(order, v, delta, epsilon, f"v={v}", disagreements))
+        SweepEntry(*_compare_cycle(
+            order, v, delta, epsilon, cycle_ovals(order, v), f"v={v}", disagreements))
         for v, (delta, epsilon) in enumerate(exponents(order, range(order)))
     )
     return SweepTranscript(order, entries, not disagreements, tuple(disagreements))

@@ -214,6 +214,18 @@ def test_enumerate_epimorphisms_example1_single_class():
     assert len(raw) == 6
 
 
+def test_enumerate_epimorphisms_tests_no_orbit_without_up_to_aut(monkeypatch):
+    # Only a census row carries the canonical flag; a plain enumeration
+    # never asks for it.
+    tested = []
+    monkeypatch.setattr(necfix.census, "is_canonical",
+                        lambda epi, unit_group: tested.append(epi) or is_canonical(epi, unit_group))
+    assert len(enumerate_epimorphisms(EXAMPLE1_ODD, 14)) == 6
+    assert tested == []
+    assert len(enumerate_epimorphisms(EXAMPLE1_ODD, 14, up_to_aut=True)) == 1
+    assert len(tested) == 6
+
+
 def test_enumerate_epimorphisms_example2_odd_r():
     # With the connecting generators sent to the identity, an odd number of
     # order-two periods forces the two order-4 images to be equal; the

@@ -695,7 +695,8 @@ def test_analyze_order_zero_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: modulus must be positive, got 0\n")
 
 
-def test_verify_reports_twist_and_epsilon_disagreements(capsys, monkeypatch):
+def test_verify_reports_twist_and_epsilon_disagreements(capsys, monkeypatch, formula_patch):
+    import necfix.fixedpoints as fixedpoints
     import necfix.oracle as oracle
     from necfix.fixedpoints import CycleOvals, cycle_ovals
 
@@ -703,15 +704,15 @@ def test_verify_reports_twist_and_epsilon_disagreements(capsys, monkeypatch):
         right = cycle_ovals(order, v)
         return CycleOvals(v, right.oval_count, not right.twisted)
 
-    # The oracle's gcd criterion is inverted: the twist check fails.
-    monkeypatch.setattr(oracle, "cycle_ovals", flipped)
+    # The report's gcd criterion is inverted: the twist check fails.
+    formula_patch.setattr(fixedpoints, "cycle_ovals", flipped)
     code, out, err = run_cli(capsys, "verify", "(0;+;[2,7];{()})", "--order", "14",
                              "--map", "x=7,2;e=5")
     assert code == 3
     assert out == "(0;+;[2,7];{()}) M=14: agreement=False\n"
     assert err == ("first disagreement: cycle 1 (v=5): twist oracle True, "
                    "gcd criterion False\n")
-    monkeypatch.undo()
+    formula_patch.undo()
 
     # epsilon = 3*delta: the exponent law fails before the twist does.
     exponents = oracle.exponents
@@ -723,16 +724,16 @@ def test_verify_reports_twist_and_epsilon_disagreements(capsys, monkeypatch):
     assert err == "first disagreement: v=0: epsilon 3 not in {delta, 2*delta}\n"
 
 
-def test_census_disagreement_exits_3(capsys, monkeypatch):
-    import necfix.oracle as oracle
+def test_census_disagreement_exits_3(capsys, formula_patch):
+    import necfix.fixedpoints as fixedpoints
     from necfix.fixedpoints import CycleOvals, cycle_ovals
 
     def off_by_one(order, v):
         right = cycle_ovals(order, v)
         return CycleOvals(v, right.oval_count + 1, right.twisted)
 
-    # The oracle's formula is off by one; the census's reports are not.
-    monkeypatch.setattr(oracle, "cycle_ovals", off_by_one)
+    # The formula behind the census's reports is off by one.
+    formula_patch.setattr(fixedpoints, "cycle_ovals", off_by_one)
     code, out, err = run_cli(capsys, "census", "--order", "4", "--max-genus", "6", "--verify")
     assert code == 3
     assert out.startswith("census: order 4, max genus 6, 132 row(s)\n")

@@ -148,7 +148,8 @@ def test_involution_sweep_agreement():
     assert transcript.disagreements == ()
 
 
-def test_oracle_catches_an_off_by_one_formula(monkeypatch, capsys):
+def test_oracle_catches_an_off_by_one_formula(formula_patch, capsys):
+    import necfix.fixedpoints as fixedpoints
     import necfix.oracle as oracle
     from necfix.cli import main
     from necfix.fixedpoints import CycleOvals, cycle_ovals
@@ -157,11 +158,14 @@ def test_oracle_catches_an_off_by_one_formula(monkeypatch, capsys):
         right = cycle_ovals(order, v)
         return CycleOvals(v, right.oval_count + 1, right.twisted)
 
-    monkeypatch.setattr(oracle, "cycle_ovals", off_by_one)
+    # The reports' formula, and the one involution_sweep compares with.
+    formula_patch.setattr(fixedpoints, "cycle_ovals", off_by_one)
+    formula_patch.setattr(oracle, "cycle_ovals", off_by_one)
     transcript = cross_check(parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5"))
     assert not transcript.agreement
     assert transcript.disagreements == (
         "cycle 1 (v=5): double-coset 1, N/delta 1, gcd formula 2",
+        "report: F, V, F + 2V, p + 2 (7, 2, 11, 9), oracle (7, 1, 9, 9)",
     )
     sweep = involution_sweep(12)
     assert not sweep.agreement
@@ -175,11 +179,13 @@ def test_oracle_catches_an_off_by_one_formula(monkeypatch, capsys):
         assert "gcd formula" in capsys.readouterr().err
 
     # The power loop is what the coset-count tests rely on.
-    monkeypatch.setattr(
-        oracle,
+    formula_patch.setattr(
+        fixedpoints,
         "isolated_fixed_points",
         lambda sig, order, i: isolated_fixed_points(sig, order, i) + (i == 2),
     )
+    fixedpoints._report.cache_clear()
+    fixedpoints._powers.cache_clear()
     transcript = cross_check(parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5"))
     assert "power 2: coset count 2, formula 3" in transcript.disagreements
 
@@ -202,9 +208,50 @@ def test_oracle_checks_the_numbers_a_row_publishes(monkeypatch):
     transcript = cross_check(epi)
     assert not transcript.agreement
     assert transcript.disagreements == (
-        "report: F, V, F + 2V, p + 2, cycles (7, 2, 9, 9, [(1, True)]), "
-        "oracle (7, 1, 9, 9, [(1, True)])",
+        "report: F, V, F + 2V, p + 2 (7, 2, 9, 9), oracle (7, 1, 9, 9)",
     )
+
+
+def test_oracle_checks_every_power_row_of_the_report(formula_patch):
+    import necfix.fixedpoints as fixedpoints
+
+    powers = fixedpoints._powers
+    epi = parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5")
+
+    def first_row_of_t2(sig, order):
+        table = powers(sig, order)
+        wrong = isolated_fixed_points(sig, order, 2)
+        return (dataclasses.replace(table[0], isolated_count=wrong), *table[1:])
+
+    # The row of t^1 prints the count of t^2; t^N's row, which gives F, is right.
+    formula_patch.setattr(fixedpoints, "_powers", first_row_of_t2)
+    transcript = cross_check(epi)
+    assert transcript.disagreements == ("power 1: coset count 0, formula 2",)
+
+    # The rows of t^1 and t^2 trade places: each prints its own count, under
+    # the other's number.
+    formula_patch.setattr(fixedpoints, "_powers",
+                          lambda sig, order: (*powers(sig, order)[1::-1], *powers(sig, order)[2:]))
+    fixedpoints._report.cache_clear()
+    transcript = cross_check(epi)
+    assert transcript.disagreements == ("report: power rows are not t^1 .. t^13 in order",)
+    assert len(transcript.per_power_fixed) == 13 * 2
+
+
+def test_oracle_names_a_missing_cycle_record(monkeypatch):
+    import necfix.oracle as oracle
+    from necfix.fixedpoints import full_report
+
+    def no_cycles(epi):
+        report = full_report(epi)
+        return dataclasses.replace(report, involution=dataclasses.replace(
+            report.involution, per_cycle=()))
+
+    # The totals still count the cycle's oval; its record is gone.
+    monkeypatch.setattr(oracle, "full_report", no_cycles)
+    transcript = cross_check(parse_map_text(EXAMPLE1_ODD, 14, "x=7,2;e=5"))
+    assert not transcript.agreement
+    assert transcript.disagreements[0] == "report: cycle records for v = (), e images (5,)"
 
 
 def test_involution_sweep_rejects_odd():
