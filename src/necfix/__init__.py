@@ -9,7 +9,6 @@ count in the finite quotient without the gcd formulas.
 """
 
 from .census import (
-    CensusRow,
     enumerate_epimorphisms,
     enumerate_signatures,
     max_cyclic_order,
@@ -46,7 +45,6 @@ from .signature import (
 )
 
 __all__ = [
-    "CensusRow",
     "CyclicEpimorphism",
     "FixedPointReport",
     "NecSignature",

@@ -17,7 +17,7 @@ import io
 import math
 import operator
 import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from itertools import chain, groupby, product
 from json.encoder import encode_basestring_ascii as _string
 
@@ -25,16 +25,6 @@ from .epimorphism import CyclicEpimorphism, flat_images, format_map_text, map_la
 from .fixedpoints import full_report, twists_field
 from .oracle import cross_check
 from .signature import NecSignature, Sign, format_signature, kernel_genus, sized, ten_to
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    """A valid map of a census block (or analyze's CSV line) and whether it is
-    the least of its Aut(C_M) orbit.  Its report is full_report(epi), taken
-    when it is written."""
-
-    epi: CyclicEpimorphism
-    canonical: bool
 
 
 MAX_CANDIDATES = 10**6
@@ -127,8 +117,8 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
     e, orientation) images.  x images have exact order m_i; the long relation
     (weight 1 for x and e, 2 for glides, 0 for a/b) fixes the last e image or
     glide (none or two roots at even order).  up_to_aut skips a non-canonical
-    map before validate (units keep validity).  The budget refuses first: the
-    candidate maps, and with up_to_aut the order gcd steps of the unit group."""
+    map before validate (units keep validity).  The budget refuses the
+    candidate maps first."""
     size = 0 if sig.nonempty_cycles else candidate_count(
         sig.genus, sig.sign, sig.periods, sig.empty_cycles, order)
     check_budget(size, "{} has {} candidate maps at order {}", sig, size, order)
@@ -143,9 +133,6 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
     weights = (1,) * (r + cycles) + (0 if plus else 2,) * n_orient
     weights = weights[:solved] + weights[solved + 1 :]
     c_fixed = (order // 2,) * cycles
-    if up_to_aut:
-        check_budget(order, "the unit group of order {} takes {} gcd steps", order, order)
-        unit_group = units(order)
     for free in product(*x_slots, *[range(order)] * (cycles + n_orient - 1)):
         rest = -sum(map(operator.mul, weights, free)) % order
         if plus:
@@ -158,7 +145,7 @@ def _iter_epimorphisms(sig, order, up_to_aut=False):
             images = (*free[:solved], root, *free[solved:])
             xs, es, orient = images[:r], images[r : r + cycles], images[r + cycles :]
             epi = CyclicEpimorphism(sig, order, xs, es, c_fixed, orient)
-            if up_to_aut and not is_canonical(epi, unit_group):
+            if up_to_aut and not is_canonical(epi):
                 continue
             if validate(epi).valid:
                 yield epi
@@ -203,14 +190,35 @@ def units(order):
     return tuple(u for u in range(1, order + 1) if math.gcd(u, order) == 1)
 
 
-def is_canonical(epi, unit_group):
-    """True when the image tuple is lexicographically least in its orbit
-    under unit multiplication (the Aut(C_M) action), unit_group being
-    units(M); unit 1 fixes it and is skipped.  Reflection images are left
-    out: they all equal M/2, which every unit fixes."""
+def is_canonical(epi):
+    """True when the image key (x..., e..., orientation...) is
+    lexicographically least in its orbit under unit multiplication (the
+    Aut(C_M) action).  Reflection images are left out: they all equal M/2,
+    which every unit fixes.
+
+    The key is walked once.  The units fixing the prefix so far are those
+    u = 1 (mod q), q | M, starting from q = 1.  An entry a = g*a', with
+    g = gcd(a, M) and n = M/g, is sent to g*(u*a' mod n), and these units
+    reach every unit of Z_n that is a' (mod r), r = gcd(q, n).  So the least
+    of its orbit is g*b, b the least integer a' (mod r) prime to n; a' is
+    such an integer, so the search ends there at the latest.  A smaller
+    entry makes a smaller key; an equal one narrows the units to
+    u = 1 (mod lcm(q, n)), and at q = M only 1 is left."""
     order = epi.modulus
-    key = (*epi.x_images, *epi.e_images, *epi.orient_images)
-    return all(key <= tuple([u * v % order for v in key]) for u in unit_group[1:])
+    q = 1
+    for a in (*epi.x_images, *epi.e_images, *epi.orient_images):
+        g = math.gcd(a, order)
+        n = order // g
+        r = math.gcd(q, n)
+        b = a // g % r
+        while math.gcd(b, n) != 1:
+            b += r
+        if g * b < a:
+            return False
+        q = math.lcm(q, n)
+        if q == order:
+            return True
+    return True
 
 
 def enumerate_epimorphisms(sig, order, up_to_aut=False):
@@ -220,9 +228,9 @@ def enumerate_epimorphisms(sig, order, up_to_aut=False):
     x image runs over the elements of exact order m_i, and one e or glide
     image is solved from the long relation, so a map is built only when the
     long relation holds.  With up_to_aut, a map that is not the least of its
-    orbit under unit multiplication is skipped before it is validated.  Returns
-    an empty list when no such smooth epimorphism exists, and raises
-    ValueError when more than MAX_CANDIDATES maps would be tried.
+    orbit under unit multiplication (is_canonical) is skipped before it is
+    validated.  Returns an empty list when no such smooth epimorphism exists,
+    and raises ValueError when more than MAX_CANDIDATES maps would be tried.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
@@ -269,27 +277,24 @@ def _shadow_layout(sig, order):
 def _census_task(args):
     sig, order, up_to_aut, verify = args
     epis = list(_iter_epimorphisms(sig, order, up_to_aut))
-    # units(order), taken only for a block with a valid map (none at a large
-    # order whose candidates are all invalid); up_to_aut yields canonical maps.
-    unit_group = epis and not up_to_aut and units(order)
-    rows = [CensusRow(epi, up_to_aut or is_canonical(epi, unit_group)) for epi in epis]
     disagreements = []
     if verify:
         # Aut(Z_M) acts freely on valid maps (a unit fixing generating images
-        # is 1), so each orbit has len(units) rows, one of them canonical.
-        if unit_group:
-            size, canonical = len(unit_group), sum(row.canonical for row in rows)
-            if len(rows) != size * canonical:
-                disagreements.append(f"{format_signature(sig)} M={order}: {len(rows)} rows, "
+        # is 1), so each orbit has phi(M) rows, one of them canonical; with
+        # up_to_aut every row is canonical.
+        if epis and not up_to_aut:
+            size, canonical = _phi(order), sum(map(is_canonical, epis))
+            if len(epis) != size * canonical:
+                disagreements.append(f"{format_signature(sig)} M={order}: {len(epis)} rows, "
                                      f"not {size} units x {canonical} canonical")
-        for row in rows:
-            transcript = cross_check(row.epi)
+        for epi in epis:
+            transcript = cross_check(epi)
             if not transcript.agreement:
                 disagreements.append(
-                    f"{format_signature(sig)} M={order} {format_map_text(row.epi)}: "
+                    f"{format_signature(sig)} M={order} {format_map_text(epi)}: "
                     + transcript.disagreements[0]
                 )
-    return rows, disagreements
+    return epis, disagreements
 
 
 def check_census_args(order, workers):
@@ -303,15 +308,15 @@ def check_census_args(order, workers):
 def run_census(order, max_genus, up_to_aut=False, verify=False, workers=1):
     """Census of every valid assignment at one order up to a genus bound.
 
-    Returns (rows, disagreements); disagreements is non-empty only when
+    Returns (rows, disagreements): each row is a valid map, whose report is
+    full_report(epi) and whose canonical flag is is_canonical(epi), both
+    taken when it is written.  disagreements is non-empty only when
     verify is set and an oracle path contradicts a closed-form count.
     Rows come out in deterministic order (signatures sorted, image tuples
     lexicographic) regardless of the worker count.  The pool never exceeds
     the task count or the CPU count.  The signature search's running count,
     which includes every signature's candidate maps, bounds the census: over
-    the budget it raises ValueError before any task starts.  With up_to_aut,
-    an order over the budget raises when the first signature with candidate
-    maps starts, before its unit group or any of its maps is built.
+    the budget it raises ValueError before any task starts.
     """
     check_census_args(order, workers)
     tasks = [(sig, order, up_to_aut, verify) for sig in enumerate_signatures(order, max_genus)]
@@ -359,17 +364,16 @@ def _census_text(rows, block_format, encode):
     """Yield the text of census rows as (text, line count) pieces: a piece
     per block of rows of one signature and order, or pieces of about
     WRITE_CHUNK characters when it is longer.  block_format(sig, order)
-    gives the block's fill: fill(row, middle) is a line, one % through the
+    gives the block's fill: fill(epi, middle) is a line, one % through the
     block's line format.  The middle, the fields that maps with equal e
     images share (full_report reads only the signature, order and e images),
     is encode(report), taken once per block and e images.
     """
-    for (sig, modulus), block in groupby(rows, key=lambda row: (row.epi.sig, row.epi.modulus)):
+    for (sig, modulus), block in groupby(rows, key=lambda epi: (epi.sig, epi.modulus)):
         fill = block_format(sig, modulus)
         shared = {}
         lines, size = [], 0
-        for row in block:
-            epi = row.epi
+        for epi in block:
             report = full_report(epi)
             middle = shared.get(epi.e_images)
             if middle is None:
@@ -377,7 +381,7 @@ def _census_text(rows, block_format, encode):
             if size >= WRITE_CHUNK:
                 yield "".join(lines), len(lines)
                 lines, size = [], 0
-            lines.append(fill(row, middle))
+            lines.append(fill(epi, middle))
             size += len(lines[-1])
         yield "".join(lines), len(lines)
 
@@ -393,8 +397,8 @@ def _csv_block(sig, modulus):
     csv.writer(out, lineterminator="\n").writerow((format_signature(sig), modulus, text, "%s", "%s"))
     line = out.getvalue()
 
-    def fill(row, middle):
-        return line % (*pick(flat_images(row.epi)), middle, _BOOLS[row.canonical])
+    def fill(epi, middle):
+        return line % (*pick(flat_images(epi)), middle, _BOOLS[is_canonical(epi)])
 
     return fill
 
@@ -417,9 +421,8 @@ def _jsonl_block(sig, modulus):
     line = (f'{{"canonical": %s, "images": {_string(text)}, %s, '
             f'"shadow_key": {_string(shadow)}, "signature": {signature}}}\n')
 
-    def fill(row, middle):
-        epi = row.epi
-        return line % (_BOOLS[row.canonical], *pick(flat_images(epi)), middle, *shadow_values(epi))
+    def fill(epi, middle):
+        return line % (_BOOLS[is_canonical(epi)], *pick(flat_images(epi)), middle, *shadow_values(epi))
 
     return fill
 

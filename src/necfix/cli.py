@@ -19,16 +19,13 @@ import sys
 from contextlib import nullcontext
 
 from .census import (
-    CensusRow,
     check_budget,
     check_census_args,
     csv_text,
     enumerate_epimorphisms,
-    is_canonical,
     max_cyclic_order,
     run_census,
     to_json,
-    units,
     write_census_csv,
     write_census_jsonl,
 )
@@ -86,8 +83,7 @@ def _cmd_analyze(args):
     if args.fmt == "json":
         print(to_json({"validation": validation, "report": report}))
     elif args.fmt == "csv" and validation.valid:
-        row = CensusRow(epi, is_canonical(epi, units(args.order)))
-        sys.stdout.writelines(text for text, _ in csv_text([row]))
+        sys.stdout.writelines(text for text, _ in csv_text([epi]))
     else:
         # csv stdout carries rows only; the check table is a diagnostic.
         _print_validation(validation, sys.stderr if args.fmt == "csv" else None)
@@ -149,12 +145,12 @@ def _cmd_census(args):
         else:
             print(f"census: order {args.order}, max genus {args.max_genus}, "
                   f"{len(rows)} row(s)", file=sink)
-            for row in rows:
-                report = full_report(row.epi)
+            for epi in rows:
+                report = full_report(epi)
                 inv = report.involution
                 fv = f"F={inv.isolated_total} V={inv.oval_total}" if inv else "no involution"
                 star = " *" if inv and inv.scherrer_equality else ""
-                print(f"  {format_signature(row.epi.sig)} M={args.order} {format_map_text(row.epi)} "
+                print(f"  {format_signature(epi.sig)} M={args.order} {format_map_text(epi)} "
                       f"p={report.kernel_genus} {fv}{star}", file=sink)
     if disagreements:
         print(f"oracle disagreement: {disagreements[0]}", file=sys.stderr)

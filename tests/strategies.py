@@ -15,7 +15,7 @@ from necfix import (
     full_report,
     parse_signature,
 )
-from necfix.census import shadow_key
+from necfix.census import is_canonical, shadow_key
 from necfix.epimorphism import subgroup_generated
 
 period_values = st.integers(min_value=2, max_value=12)
@@ -111,17 +111,18 @@ def all_assignments(sig, order):
         )
 
 
-def census_row_record(row):
-    """The whole JSON record of one census row, as a dict: the reference
-    each line of the JSONL writer must read as when encoded by to_json."""
-    report = full_report(row.epi)
+def census_row_record(epi):
+    """The whole JSON record of one census row, a valid map, as a dict: the
+    reference each line of the JSONL writer must read as when encoded by
+    to_json."""
+    report = full_report(epi)
     return {
-        "signature": format_signature(row.epi.sig),
-        "images": format_map_text(row.epi),
-        "canonical": row.canonical,
-        "shadow_key": shadow_key(row.epi),
+        "signature": format_signature(epi.sig),
+        "images": format_map_text(epi),
+        "canonical": is_canonical(epi),
+        "shadow_key": shadow_key(epi),
         "kernel_genus": report.kernel_genus,
-        "modulus": row.epi.modulus,
+        "modulus": epi.modulus,
         "report": report,
         "scherrer_equality": report.involution is not None and report.involution.scherrer_equality,
     }

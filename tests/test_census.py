@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import re
 
 import pytest
@@ -29,7 +30,6 @@ from necfix import (
     validate,
 )
 from necfix.census import (
-    CensusRow,
     candidate_count,
     is_canonical,
     shadow_key,
@@ -196,7 +196,7 @@ def test_enumerate_signatures_rejects_non_positive_order():
 def test_census_at_order_one():
     rows, _ = run_census(1, 20)
     assert len(rows) == 18
-    assert {row.epi.sig.periods for row in rows} == {()}
+    assert {epi.sig.periods for epi in rows} == {()}
     # Odd orders take no period cycles: (g;+;[];{}) for g = 2..1000 and
     # (g;-;[];{}) for g = 3..2000, not every (g, k) with alpha*g + k <= 2000.
     assert len(enumerate_signatures(1, 2000)) == 999 + 1998
@@ -219,7 +219,7 @@ def test_enumerate_epimorphisms_tests_no_orbit_without_up_to_aut(monkeypatch):
     # never asks for it.
     tested = []
     monkeypatch.setattr(necfix.census, "is_canonical",
-                        lambda epi, unit_group: tested.append(epi) or is_canonical(epi, unit_group))
+                        lambda epi: tested.append(epi) or is_canonical(epi))
     assert len(enumerate_epimorphisms(EXAMPLE1_ODD, 14)) == 6
     assert tested == []
     assert len(enumerate_epimorphisms(EXAMPLE1_ODD, 14, up_to_aut=True)) == 1
@@ -313,16 +313,52 @@ def _unit_multiple(epi, unit):
     )
 
 
+@st.composite
+def image_maps(draw):
+    # Arbitrary images, not only valid maps: r x, k e and n glide images.
+    order = draw(st.integers(min_value=1, max_value=60))
+    r, k, n = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+    images = st.integers(min_value=0, max_value=order - 1)
+    sig = NecSignature(n, Sign.MINUS if n else Sign.PLUS, (2,) * r, k)
+    return CyclicEpimorphism(sig, order, *(tuple(draw(images) for _ in range(count))
+                                           for count in (r, k, k, n)))
+
+
+def _image_map(order, xs, es=(), glides=()):
+    sig = NecSignature(len(glides), Sign.MINUS if glides else Sign.PLUS, (2,) * len(xs), len(es))
+    return CyclicEpimorphism(sig, order, xs, es, (0,) * len(es), glides)
+
+
+@settings(max_examples=400, deadline=None)
+@given(image_maps())
+# Order 1, whose one unit fixes everything; a leading 0, fixed by every unit,
+# before an entry that a unit lowers; 3 then 4 at order 12, after which only
+# the unit 1 fixes the prefix, so the last entry is never compared; 0, 3 at
+# order 12, fixed by the unit 5, which lowers the 8 after them to 4; and 3, 7
+# at order 12, where 3's units 1 and 5 send 7 only to 11, so 7 is least
+# although 5 is a smaller unit.
+@example(_image_map(1, (0,), (0,), (0,)))
+@example(_image_map(12, (0, 5)))
+@example(_image_map(12, (3,), (4,), (11,)))
+@example(_image_map(12, (0, 3), (8,), (7,)))
+@example(_image_map(12, (3, 7)))
+def test_is_canonical_is_least_under_every_unit(epi):
+    order = epi.modulus
+    unit_group = [u for u in range(1, order + 1) if math.gcd(u, order) == 1]
+    key = (*epi.x_images, *epi.e_images, *epi.orient_images)
+    assert is_canonical(epi) == all(key <= tuple(u * v % order for v in key) for u in unit_group)
+
+
 def test_unit_orbits_partition_valid_maps():
     for order in range(1, 13):
         unit_group = units(order)
         for sig in enumerate_signatures(order, 8):
             raw = enumerate_epimorphisms(sig, order)
-            canonical = [e for e in raw if is_canonical(e, unit_group)]
+            canonical = [e for e in raw if is_canonical(e)]
             orbit_reps = set()
             for epi in raw:
                 orbit = {_unit_multiple(epi, u) for u in unit_group}
-                reps = [e for e in orbit if is_canonical(e, unit_group)]
+                reps = [e for e in orbit if is_canonical(e)]
                 assert len(reps) == 1
                 assert reps[0] in raw
                 orbit_reps.add(reps[0])
@@ -340,13 +376,12 @@ def test_up_to_aut_skips_non_canonical_maps_before_validate(monkeypatch):
 
     monkeypatch.setattr(necfix.census, "validate", recording_validate)
     for order in [*range(1, 17), 24, 30]:
-        unit_group = units(order)
         for sig in enumerate_signatures(order, 8):
             full = enumerate_epimorphisms(sig, order)
             seen.clear()
             reduced = enumerate_epimorphisms(sig, order, up_to_aut=True)
-            assert reduced == [e for e in full if is_canonical(e, unit_group)]
-            assert all(is_canonical(e, unit_group) for e in seen)
+            assert reduced == [e for e in full if is_canonical(e)]
+            assert all(is_canonical(e) for e in seen)
 
 
 def test_high_genus_rows_exist_for_minus_signatures():
@@ -357,20 +392,20 @@ def test_high_genus_rows_exist_for_minus_signatures():
 
 
 def test_rows_carry_reports_and_flags():
-    # A row is its map and its flag; its report is taken from the map.
-    assert [f.name for f in dataclasses.fields(CensusRow)] == ["epi", "canonical"]
+    # A row is its map; its report and its flag are taken from the map.
     rows, _ = run_census(4, 8)
-    rows = [row for row in rows if row.epi.sig == EXAMPLE2]
+    assert all(type(epi) is CyclicEpimorphism for epi in rows)
+    rows = [epi for epi in rows if epi.sig == EXAMPLE2]
     assert rows
-    for row in rows:
-        record = census_row_record(row)
-        report = full_report(row.epi)
-        assert record["signature"] == format_signature(row.epi.sig)
-        assert record["modulus"] == row.epi.modulus == report.modulus
+    for epi in rows:
+        record = census_row_record(epi)
+        report = full_report(epi)
+        assert record["signature"] == format_signature(epi.sig)
+        assert record["modulus"] == epi.modulus == report.modulus
         assert record["kernel_genus"] == report.kernel_genus
         assert record["scherrer_equality"] == report.involution.scherrer_equality
-        assert record["shadow_key"] == shadow_key(row.epi)
-        assert record["canonical"] == row.canonical == is_canonical(row.epi, units(4))
+        assert record["shadow_key"] == shadow_key(epi)
+        assert record["canonical"] == is_canonical(epi)
 
 
 def test_shadow_key_ignores_period_order():
@@ -442,16 +477,16 @@ def test_map_text_and_shadow_key_match_their_reference_texts(sign, genus, period
 def _scherrer_extremal(order, max_genus):
     """Rows up to Aut(C_M) where the involution attains |F| + 2|V| = p + 2."""
     rows, _ = run_census(order, max_genus, up_to_aut=True)
-    return [row for row in rows if full_report(row.epi).involution.scherrer_equality]
+    return [epi for epi in rows if full_report(epi).involution.scherrer_equality]
 
 
 def test_scherrer_extremal_contains_examples():
     rows = _scherrer_extremal(4, 8)
-    keys = {(format_signature(r.epi.sig), r.epi.x_images, r.epi.e_images) for r in rows}
+    keys = {(format_signature(e.sig), e.x_images, e.e_images) for e in rows}
     assert ("(0;+;[2,2,4,4];{()})", (2, 2, 1, 3), (0,)) in keys
 
     rows = _scherrer_extremal(14, 7)
-    keys = {(format_signature(r.epi.sig), r.epi.x_images) for r in rows}
+    keys = {(format_signature(e.sig), e.x_images) for e in rows}
     assert ("(0;+;[2,7];{()})", (7, 2)) in keys
 
 
@@ -459,13 +494,9 @@ def test_scherrer_extremal_order_eight_family():
     # Doubling the two largest periods keeps the bound attained: the
     # signature (0;+;[8,8];{()}) at order 8 gives F=2, V=4, p=8.
     rows = _scherrer_extremal(8, 8)
-    match = [
-        r
-        for r in rows
-        if format_signature(r.epi.sig) == "(0;+;[8,8];{()})"
-    ]
+    match = [e for e in rows if format_signature(e.sig) == "(0;+;[8,8];{()})"]
     assert match
-    inv = full_report(match[0].epi).involution
+    inv = full_report(match[0]).involution
     assert inv.isolated_total == 2
     assert inv.oval_total == 4
 
@@ -474,14 +505,14 @@ def test_census_rows_all_validate_and_hold_scherrer():
     rows, disagreements = run_census(4, 10, verify=True)
     assert not disagreements
     assert rows
-    for row in rows:
-        report = full_report(row.epi)
+    for epi in rows:
+        report = full_report(epi)
         inv = report.involution
         assert inv.scherrer_lhs <= inv.scherrer_rhs
         assert 3 <= report.kernel_genus <= 10
         # At i = N the per-power formula restricts to the even periods.
         assert inv.isolated_total == sum(
-            4 // m for m in row.epi.sig.periods if m % 2 == 0
+            4 // m for m in epi.sig.periods if m % 2 == 0
         )
 
 
@@ -535,16 +566,16 @@ def test_census_jsonl_lines_equal_the_one_encoder(order, max_genus, monkeypatch)
     buf = io.StringIO()
     write_census_jsonl(rows, buf)
     lines = buf.getvalue().splitlines()[:-1]
-    assert lines == [to_json(census_row_record(row)) for row in rows]
+    assert lines == [to_json(census_row_record(epi)) for epi in rows]
     # A report is encoded once per signature and e images, and a signature
     # once per block, however many rows share them.
     reports = [obj for obj in encoded if isinstance(obj, dict) and "report" in obj]
-    assert len(reports) == len({(row.epi.sig, row.epi.e_images) for row in rows}) < len(rows)
+    assert len(reports) == len({(epi.sig, epi.e_images) for epi in rows}) < len(rows)
     texts = [obj for obj in encoded if isinstance(obj, str) and obj.startswith("(")]
-    assert texts == list(dict.fromkeys(format_signature(row.epi.sig) for row in rows))
+    assert texts == list(dict.fromkeys(format_signature(epi.sig) for epi in rows))
     if order % 2:
         assert len(rows) == 292
-        assert all(full_report(row.epi).involution is None for row in rows)
+        assert all(full_report(epi).involution is None for epi in rows)
 
 
 @pytest.mark.parametrize("write, head", [(write_census_jsonl, 0), (write_census_csv, 1)],
@@ -564,7 +595,7 @@ def test_census_block_is_written_in_pieces_of_the_write_chunk(monkeypatch, write
         return "".join(writes), len(writes) - head - 1
 
     whole, whole_writes = written(10**9)
-    assert whole_writes == len({row.epi.sig for row in rows}) < len(rows)
+    assert whole_writes == len({epi.sig for epi in rows}) < len(rows)
     assert written(1) == (whole, len(rows))
     assert written(necfix.census.WRITE_CHUNK)[0] == whole
 
@@ -581,7 +612,7 @@ def test_to_json_matches_asdict_reference(data):
     report = full_report(epi)
     for obj in (validate(epi), report, cross_check(epi)):
         assert_encodes_as_asdict(obj)
-    record = census_row_record(CensusRow(epi, is_canonical(epi, units(epi.modulus))))
+    record = census_row_record(epi)
     reference = {**record, "report": dataclasses.asdict(report)}
     assert to_json(record) == json.dumps(reference, sort_keys=True)
 

@@ -655,38 +655,31 @@ def test_verify_and_analyze_bounds_are_exact(capsys, monkeypatch):
     assert err == "error: a report at order 14 has 13 power rows, above the limit of 12\n"
 
 
-def test_up_to_aut_budgets_its_unit_group(capsys, monkeypatch):
+def test_up_to_aut_builds_no_unit_group_at_the_order(capsys, monkeypatch):
     import necfix.census as census
 
-    # --up-to-aut takes units(M), M gcd steps, before the first candidate;
-    # the budget counts them first, so no unit group above it is built.
+    # is_canonical walks each key with the units fixing its prefix, held as
+    # a modulus, so --up-to-aut lists the units of a period at most, never
+    # those of Z_M: an order far above the budget runs at once.
     units = census.units
+    listed = []
 
-    def bounded_units(order):
-        assert order <= census.MAX_CANDIDATES, f"units({order}) built past the bound"
+    def recording_units(order):
+        listed.append(order)
         return units(order)
 
-    monkeypatch.setattr(census, "units", bounded_units)
-    signature = "(0;+;[2,2,2];{()})"
+    monkeypatch.setattr(census, "units", recording_units)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "enumerate", signature, "--order", "10000000", "--up-to-aut")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert err == ("error: the unit group of order 10000000 takes 10000000 gcd steps, "
-                   "above the limit of 1000000\n")
-    # A census reaches it at its first signature with candidate maps,
-    # (0;+;[2,3];{()}) here.
+    code, out, err = run_cli(capsys, "enumerate", "(0;+;[2,2,2];{()})", "--order", "10000000",
+                             "--up-to-aut")
+    assert (code, out, err) == (0, "0 valid map(s) for (0;+;[2,2,2];{()}) onto C_10000000\n", "")
+    # The census has candidate maps, such as those of (0;+;[2,3];{()}), but
+    # none of them generates Z_3000000.
     code, out, err = run_cli(capsys, "census", "--order", "3000000", "--max-genus", "1000002",
                              "--up-to-aut")
-    assert (code, out) == (2, "")
-    assert err == ("error: the unit group of order 3000000 takes 3000000 gcd steps, "
-                   "above the limit of 1000000\n")
-    # The bound is exact, and without --up-to-aut no unit group is taken
-    # for a signature without valid maps.
-    monkeypatch.setattr(census, "MAX_CANDIDATES", 1000)
-    assert run_cli(capsys, "enumerate", signature, "--order", "1000", "--up-to-aut")[0] == 0
-    assert run_cli(capsys, "enumerate", signature, "--order", "1002", "--up-to-aut")[0] == 2
-    assert run_cli(capsys, "enumerate", signature, "--order", "1002")[0] == 0
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "census: order 3000000, max genus 1000002, 0 row(s)\n", "")
+    assert listed and not {10000000, 3000000} & set(listed)
 
 
 def test_analyze_order_zero_exits_2(capsys):
@@ -766,7 +759,7 @@ def test_census_orbit_disagreement_exits_3(capsys, monkeypatch):
 
     # Every map claims to be canonical: each two-map orbit at order 4 then
     # counts two canonical rows, which only the orbit count sees.
-    monkeypatch.setattr(census, "is_canonical", lambda epi, unit_group: True)
+    monkeypatch.setattr(census, "is_canonical", lambda epi: True)
     code, out, err = run_cli(capsys, "census", "--order", "4", "--max-genus", "6", "--verify")
     assert code == 3
     assert out.startswith("census: order 4, max genus 6, 132 row(s)\n")

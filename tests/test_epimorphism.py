@@ -224,7 +224,7 @@ def test_a_map_keeps_its_verdict(monkeypatch):
 
     # A new map of the same signature, as dataclasses.replace builds one,
     # takes its own verdict, not the one of the map it was built from.
-    epi = rows[0].epi
+    epi = rows[0]
     report = validate(epi)
     assert report.valid
     broken = dataclasses.replace(epi, x_images=(0,) * len(epi.x_images))
