@@ -363,7 +363,8 @@ WRITE_CHUNK = 1 << 16
 def _census_text(rows, block_format, encode):
     """Yield the text of census rows as (text, line count) pieces: a piece
     per block of rows of one signature and order, or pieces of about
-    WRITE_CHUNK characters when it is longer.  block_format(sig, order)
+    WRITE_CHUNK characters when it is longer.  It writes the three block
+    formats, CSV lines, JSON lines and the table.  block_format(sig, order)
     gives the block's fill: fill(epi, middle) is a line, one % through the
     block's line format.  The middle, the fields that maps with equal e
     images share (full_report reads only the signature, order and e images),
@@ -396,11 +397,7 @@ def _csv_block(sig, modulus):
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow((format_signature(sig), modulus, text, "%s", "%s"))
     line = out.getvalue()
-
-    def fill(epi, middle):
-        return line % (*pick(flat_images(epi)), middle, _BOOLS[is_canonical(epi)])
-
-    return fill
+    return lambda epi, middle: line % (*pick(flat_images(epi)), middle, _BOOLS[is_canonical(epi)])
 
 
 def _csv_middle(report):
@@ -420,11 +417,8 @@ def _jsonl_block(sig, modulus):
     signature = to_json(format_signature(sig))
     line = (f'{{"canonical": %s, "images": {_string(text)}, %s, '
             f'"shadow_key": {_string(shadow)}, "signature": {signature}}}\n')
-
-    def fill(epi, middle):
-        return line % (_BOOLS[is_canonical(epi)], *pick(flat_images(epi)), middle, *shadow_values(epi))
-
-    return fill
+    return lambda epi, middle: line % (
+        _BOOLS[is_canonical(epi)], *pick(flat_images(epi)), middle, *shadow_values(epi))
 
 
 def _jsonl_middle(report):
@@ -436,11 +430,31 @@ def _jsonl_middle(report):
     })[1:-1]
 
 
+def _table_block(sig, modulus):
+    # Like a CSV block's line format, with one %s, which _table_middle fills.
+    text, pick = map_layout(sig)
+    line = f"  {format_signature(sig)} M={modulus} {text} %s\n"
+    return lambda epi, middle: line % (*pick(flat_images(epi)), middle)
+
+
+def _table_middle(report):
+    involution = report.involution
+    if involution is None:
+        return f"p={report.kernel_genus} no involution"
+    star = " *" if involution.scherrer_equality else ""
+    return f"p={report.kernel_genus} F={involution.isolated_total} V={involution.oval_total}{star}"
+
+
 def csv_text(rows):
     """The CSV header, then the lines of census rows, as (text, line count)
     pieces."""
     header = "signature,M,images,p,F,V,twists,scherrer_slack,canonical\n"
     return chain([(header, 0)], _census_text(rows, _csv_block, _csv_middle))
+
+
+def table_text(rows):
+    """The table lines of census rows, as (text, line count) pieces."""
+    return _census_text(rows, _table_block, _table_middle)
 
 
 def _write(pieces, fh, trailer):

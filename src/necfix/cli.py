@@ -25,6 +25,7 @@ from .census import (
     enumerate_epimorphisms,
     max_cyclic_order,
     run_census,
+    table_text,
     to_json,
     write_census_csv,
     write_census_jsonl,
@@ -145,13 +146,7 @@ def _cmd_census(args):
         else:
             print(f"census: order {args.order}, max genus {args.max_genus}, "
                   f"{len(rows)} row(s)", file=sink)
-            for epi in rows:
-                report = full_report(epi)
-                inv = report.involution
-                fv = f"F={inv.isolated_total} V={inv.oval_total}" if inv else "no involution"
-                star = " *" if inv and inv.scherrer_equality else ""
-                print(f"  {format_signature(epi.sig)} M={args.order} {format_map_text(epi)} "
-                      f"p={report.kernel_genus} {fv}{star}", file=sink)
+            sink.writelines(text for text, _ in table_text(rows))
     if disagreements:
         print(f"oracle disagreement: {disagreements[0]}", file=sys.stderr)
         return EXIT_DISAGREEMENT

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .signature import NecSignature, Sign, kernel_genus
+from .signature import MAX_DIGITS, NecSignature, Sign, kernel_genus
 
 
 @dataclass(frozen=True)
@@ -278,6 +278,8 @@ def parse_map_text(sig, order, text):
             item = item.strip()
             if not item:
                 continue
+            if len(item) > MAX_DIGITS and sum(map(str.isdecimal, item)) > MAX_DIGITS:
+                raise ValueError(f"map section {key!r} has an entry of over {MAX_DIGITS} digits")
             try:
                 values.append(int(item))
             except ValueError:

@@ -82,16 +82,18 @@ class NecSignature:
         return self._hash
 
 
+MAX_DIGITS = 4300  # int() refuses longer digit runs from Python 3.11 on
 _TOKEN = re.compile(r"\d+|\S")
 
 
 def parse_signature(text):
     """Parse "(g;+;[m1,m2];{()()})" into a NecSignature.
 
-    The grammar is whitespace-insensitive and its integers are runs of
-    decimal digits.  "()^k" expands to k empty cycles.  Raises ParseError,
-    carrying the 1-based character position, on both syntax errors and
-    semantic ones (period below 2, sign '-' with genus 0).
+    The grammar is whitespace-insensitive and its integers are runs of at
+    most MAX_DIGITS decimal digits, on every Python version.  "()^k" expands
+    to k empty cycles.  Raises ParseError, carrying the 1-based character
+    position, on both syntax errors and semantic ones (period below 2, sign
+    '-' with genus 0, an integer of too many digits).
     """
     # Tokens in reverse, so tokens[-1] is the next one; the end of the text
     # is the token "" at len(text) + 1, which no reader consumes.
@@ -109,6 +111,8 @@ def parse_signature(text):
         token, pos = tokens[-1]
         if not token.isdecimal():
             raise ParseError(f"expected {what}", pos)
+        if len(token) > MAX_DIGITS:
+            raise ParseError(f"{name or what} has {len(token)} digits, over {MAX_DIGITS}", pos)
         tokens.pop()
         value = int(token)
         if value < least:

@@ -147,9 +147,8 @@ MUTANTS = [
      "test_epimorphism.py"),
     # One path from census arguments to bytes: --up-to-aut is decided by
     # the one enumeration, which skips a non-canonical map before validate,
-    # each written row takes its report from full_report, --output is
-    # replaced rather than appended to, and the table's equality marker
-    # reads the report's Scherrer equality.
+    # each written row takes its report from full_report, and --output is
+    # replaced rather than appended to.
     ("census.py", "epis = list(_iter_epimorphisms(sig, order, up_to_aut))",
      "epis = list(_iter_epimorphisms(sig, order))", "test_cli.py"),
     ("census.py", "if up_to_aut and not is_canonical(epi):", "if False:", "test_cli.py"),
@@ -160,7 +159,16 @@ MUTANTS = [
      "                report = full_report(epi)\n",
      "test_fixedpoints.py"),
     ("cli.py", 'open(args.output, "w"', 'open(args.output, "a"', "test_cli.py"),
-    ("cli.py", "if inv and inv.scherrer_equality", "if inv and not inv.scherrer_equality",
+    # The table's middle, written by census.py like the CSV and JSON ones:
+    # its equality marker reads the report's Scherrer equality, F and V are
+    # the involution's isolated points and ovals, and an odd order has no
+    # involution.
+    ("census.py", '" *" if involution.scherrer_equality',
+     '" *" if not involution.scherrer_equality', "test_cli.py"),
+    ("census.py", "F={involution.isolated_total} V={involution.oval_total}",
+     "F={involution.oval_total} V={involution.isolated_total}", "test_cli.py"),
+    ("census.py",
+     '    if involution is None:\n        return f"p={report.kernel_genus} no involution"\n', "",
      "test_cli.py"),
     # The CLI is built once: a one-worker start-up loads no process pool, and
     # each subcommand's parser dispatches to its own handler.

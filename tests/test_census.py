@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +39,7 @@ from necfix.census import (
     write_census_csv,
     write_census_jsonl,
 )
+from necfix.cli import main
 from necfix.epimorphism import CheckResult
 from necfix.fixedpoints import CycleOvals, PowerFixedPoints
 from necfix.oracle import OracleTranscript, PowerCosetCount, SweepTranscript
@@ -578,12 +580,14 @@ def test_census_jsonl_lines_equal_the_one_encoder(order, max_genus, monkeypatch)
         assert all(full_report(epi).involution is None for epi in rows)
 
 
-@pytest.mark.parametrize("write, head", [(write_census_jsonl, 0), (write_census_csv, 1)],
-                         ids=["jsonl", "csv"])
-def test_census_block_is_written_in_pieces_of_the_write_chunk(monkeypatch, write, head):
+@pytest.mark.parametrize("fmt, other", [("json", 1), ("csv", 2), ("table", 2)],
+                         ids=["jsonl", "csv", "table"])
+def test_census_block_is_written_in_pieces_of_the_write_chunk(monkeypatch, fmt, other):
     # A block is one write unless its text passes WRITE_CHUNK; at a chunk of
     # one character every line is its own write.  Bytes and trailer do not
-    # depend on how a block is cut.  The CSV header is one write of its own.
+    # depend on how a block is cut.  The other writes carry no row: the CSV
+    # header and the trailer are one each, and the table's header line is
+    # print's two writes, its text and its newline, with no trailer.
     rows, _ = run_census(6, 8)
 
     def written(chunk):
@@ -591,8 +595,10 @@ def test_census_block_is_written_in_pieces_of_the_write_chunk(monkeypatch, write
         writes = []
         buf = io.StringIO()
         buf.write = lambda text: writes.append(text) or len(text)
-        write(rows, buf)
-        return "".join(writes), len(writes) - head - 1
+        monkeypatch.setattr(sys, "stdout", buf)
+        assert main(["census", "--order", "6", "--max-genus", "8", "--format", fmt]) == 0
+        assert buf.getvalue() == ""  # every write was counted
+        return "".join(writes), len(writes) - other
 
     whole, whole_writes = written(10**9)
     assert whole_writes == len({epi.sig for epi in rows}) < len(rows)

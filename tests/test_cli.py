@@ -159,6 +159,37 @@ def test_analyze_non_decimal_digit_is_a_parse_error(capsys):
     assert err == "parse error: expected genus (position 2)\n"
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("signature, what, position", [
+    (f"({NINES};+;[];{{()}})", "genus", 2),
+    (f"(0;+;[2,{NINES}];{{()}})", "period", 9),
+    (f"(0;+;[];{{({NINES})}})", "link period", 11),
+    (f"(0;+;[];{{()^{NINES}}})", "cycle repeat count", 13),
+], ids=["genus", "period", "link-period", "repeat-count"])
+def test_analyze_long_integer_is_a_parse_error(capsys, signature, what, position):
+    # int() refuses over 4300 digits from Python 3.11 on; the parser refuses
+    # them first, on every version, at the token's place.
+    code, out, err = run_cli(capsys, "analyze", signature, "--order", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: {what} has 5000 digits, over 4300 (position {position})\n"
+
+
+def test_analyze_long_map_entry_is_refused_by_its_digits(capsys):
+    # An entry of 4300 digits and a sign is an integer; one digit more is
+    # refused by its count, without echoing the entry.
+    ok = run_cli(capsys, "analyze", "(0;+;[2];{()})", "--order", "4",
+                 "--map", "x=-" + "9" * 4300 + ";e=2")
+    assert ok[0] == 4
+    code, out, err = run_cli(capsys, "analyze", "(0;+;[2];{()})", "--order", "4",
+                             "--map", "x=-" + "9" * 4301 + ";e=2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: map section 'x' has an entry of over 4300 digits\n"
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -513,15 +544,24 @@ def test_census_output_to_a_non_regular_file(capsys):
     assert err == ""
 
 
+TABLE_6_8 = "0ad4b2ae8fe3644779956bc0a654287cf8bf8d638d00c29f4b7b6f7a66e0df03"
+TABLE_5_8 = "aae629e02629e768756f2fc7297a0715b6e2f87b753a3f4ec2ef44131c1ff6eb"
+TABLE_6_8_AUT = "2d308f5913f14df0ac2b4310277b3a867a27cc91fc1a890b349d8f159c9935f3"
+
+
 @pytest.mark.parametrize(
-    "order, equalities, digest",
+    "order, equalities, digest, flags",
     [
-        (6, 54, "0ad4b2ae8fe3644779956bc0a654287cf8bf8d638d00c29f4b7b6f7a66e0df03"),
-        (5, 0, "aae629e02629e768756f2fc7297a0715b6e2f87b753a3f4ec2ef44131c1ff6eb"),
+        pytest.param(6, 54, TABLE_6_8, (), id=f"6-54-{TABLE_6_8}"),
+        pytest.param(5, 0, TABLE_5_8, (), id=f"5-0-{TABLE_5_8}"),
+        pytest.param(6, 27, TABLE_6_8_AUT, ("--up-to-aut",), id="6-up-to-aut"),
+        # Rows reach the table writer pickled from two workers; the bytes
+        # are the one-worker bytes.
+        pytest.param(6, 54, TABLE_6_8, ("--workers", "2"), id="6-workers-2"),
     ],
 )
-def test_census_table_lines_read_the_csv_fields(capsys, order, equalities, digest):
-    args = ("census", "--order", str(order), "--max-genus", "8")
+def test_census_table_lines_read_the_csv_fields(capsys, order, equalities, digest, flags):
+    args = ("census", "--order", str(order), "--max-genus", "8", *flags)
     code, table, _ = run_cli(capsys, *args)
     assert code == 0
     assert hashlib.sha256(table.encode()).hexdigest() == digest

@@ -89,6 +89,12 @@ def test_parse_errors_carry_positions(text, position, message):
     assert str(err.value) == f"{message} (position {position})"
 
 
+def test_integer_of_the_most_digits_parses():
+    # The digit limit is int()'s own from Python 3.11 on, so a run of exactly
+    # that many digits is still read; one more is a ParseError (test_cli).
+    assert parse_signature(f"({'9' * 4300};-;[2];{{}})").genus == 10**4300 - 1
+
+
 def test_constructor_rejects_bad_data():
     with pytest.raises(ValueError):
         NecSignature(0, Sign.MINUS)
